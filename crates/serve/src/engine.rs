@@ -30,7 +30,7 @@ use sintel_store::{Doc, Filter, SintelDb};
 use crate::event::{Admission, AnomalyEvent, IngestEvent};
 use crate::queue::TenantQueue;
 use crate::selfmon::{SelfMonitor, SELF_TENANT};
-use crate::session::{PassReport, TenantSession};
+use crate::session::{CheckpointSlot, PassReport, TenantSession};
 use crate::slo::{
     self, SharedStatus, StatusSnapshot, TenantSlo, TenantTickStats, TickWideEvent,
 };
@@ -206,7 +206,7 @@ struct TenantRuntime {
     spec: TenantSpec,
     queue: TenantQueue,
     session: Option<TenantSession>,
-    doc_id: Option<u64>,
+    slot: CheckpointSlot,
     stats: TenantStats,
     /// Snapshot of `stats` at the end of the previous tick; the wide
     /// event reports admission counters as deltas against it.
@@ -267,18 +267,12 @@ impl ServeEngine {
             ),
             None => {
                 let init = Doc::obj().with("kind", "engine").with("ticks", 0u64);
-                (db.raw().insert(collections::SERVE_META, init), 0)
+                (db.raw().try_insert(collections::SERVE_META, init)?, 0)
             }
         };
         let mut tenants = BTreeMap::new();
         for spec in specs {
-            let (session, doc_id) = match db.serve_session(&spec.name) {
-                Some(doc) => {
-                    let id = doc.get("_id").and_then(Doc::as_i64).map(|v| v.max(0) as u64);
-                    (TenantSession::from_doc(&doc)?, id)
-                }
-                None => (TenantSession::new(&spec.name), None),
-            };
+            let (session, slot) = TenantSession::recover(&db, &spec.name)?;
             let stats = TenantStats {
                 degraded: session.is_degraded(),
                 quarantined: session.is_quarantined(),
@@ -291,7 +285,7 @@ impl ServeEngine {
                     spec,
                     queue,
                     session: Some(session),
-                    doc_id,
+                    slot,
                     prev_stats: stats.clone(),
                     stats,
                     pending_since: None,
@@ -433,17 +427,64 @@ impl ServeEngine {
             checkpoint_seconds: self.last_checkpoint_seconds,
             ..TickWideEvent::default()
         };
+        if let Err(e) = self.commit_cut(&names, outcomes, &drained, &mut wide, &mut emitted) {
+            // The store may now lack writes the slots assume were
+            // made: rewrite whole windows at the next checkpoint.
+            for runtime in self.tenants.values_mut() {
+                runtime.slot.invalidate();
+            }
+            if let Some(monitor) = self.self_monitor.as_mut() {
+                monitor.invalidate();
+            }
+            return Err(e);
+        }
+
+        #[cfg(feature = "faulty")]
+        if crate::fault::take(crate::fault::CrashPoint::BetweenCheckpointAndEmit) {
+            return Err(ServeError::Injected(
+                crate::fault::CrashPoint::BetweenCheckpointAndEmit.label(),
+            ));
+        }
+        sintel_obs::counter_add("sintel_serve_ticks_total", 1);
+        sintel_obs::observe("sintel_serve_checkpoint_seconds", self.last_checkpoint_seconds);
+        if wide.self_events > 0 {
+            sintel_obs::counter_add("sintel_serve_self_events_total", wide.self_events);
+        }
+        sintel_obs::rollup_add("sintel_serve_events_per_tick", wide.drained);
+        sintel_obs::rollup_add("sintel_serve_sheds_per_tick", wide.shed);
+        sintel_obs::rollup_add("sintel_serve_retries_per_tick", wide.retried);
+        sintel_obs::rollup_add("sintel_serve_emits_per_tick", wide.emitted);
+        sintel_obs::rollup_add("sintel_serve_pass_failures_per_tick", wide.pass_failures);
+        sintel_obs::gauge_set("sintel_serve_backlog", self.aggregate_depth() as f64);
+        let tick_elapsed = tick_span.close();
+        sintel_obs::observe_duration("sintel_serve_tick_seconds", tick_elapsed);
+        sintel_obs::rollup_observe(
+            "sintel_serve_tick_window_seconds",
+            tick_elapsed.as_secs_f64(),
+        );
+        sintel_obs::rollup_tick();
+        self.last_wide = Some(wide);
+        self.publish_status();
+        Ok(emitted)
+    }
+
+    /// Write one tick's cut inside a single batch and commit it: each
+    /// tenant's checkpoint and events (folding its report into `wide`
+    /// and `emitted`), the `_self` monitor's, the wide event and the
+    /// tick counter.
+    fn commit_cut(
+        &mut self,
+        names: &[String],
+        outcomes: Vec<Option<(TenantSession, PassReport)>>,
+        drained: &[u64],
+        wide: &mut TickWideEvent,
+        emitted: &mut Vec<AnomalyEvent>,
+    ) -> Result<()> {
         let scope = self.db.batch();
+        let mut reports = Vec::with_capacity(names.len());
         for (i, (name, outcome)) in names.iter().zip(outcomes).enumerate() {
             let Some((session, report)) = outcome else { continue };
             let Some(runtime) = self.tenants.get_mut(name) else { continue };
-            let doc_id = self.db.upsert_serve_session(runtime.doc_id, session.to_doc())?;
-            runtime.doc_id = Some(doc_id);
-            for ev in &report.events {
-                self.db.add_serve_event(
-                    &ev.tenant, &ev.signal, ev.seq, ev.start, ev.end, ev.severity, ev.pass,
-                );
-            }
             let stats = &mut runtime.stats;
             stats.absorbed += report.absorbed;
             stats.stale_dropped += report.stale_dropped;
@@ -505,7 +546,21 @@ impl ServeEngine {
                 }
             }
             runtime.session = Some(session);
-            emitted.extend(report.events);
+            reports.push((name, report.events));
+        }
+        // Every session is back in place before the first write, so a
+        // failed write loses no in-memory state.
+        for (name, events) in reports {
+            let Some(runtime) = self.tenants.get_mut(name) else { continue };
+            if let Some(session) = &runtime.session {
+                session.checkpoint(&self.db, &mut runtime.slot, &self.cfg)?;
+            }
+            for ev in &events {
+                self.db.add_serve_event(
+                    &ev.tenant, &ev.signal, ev.seq, ev.start, ev.end, ev.severity, ev.pass,
+                )?;
+            }
+            emitted.extend(events);
         }
         wide.backlog = self.aggregate_depth() as u64;
 
@@ -514,52 +569,23 @@ impl ServeEngine {
         // checkpoint and any anomalies it raised in the same cut. Its
         // events are persisted, never returned.
         if let Some(monitor) = self.self_monitor.as_mut() {
-            let report = monitor.observe_tick(self.ticks, &wide);
-            let doc_id =
-                self.db.upsert_serve_session(monitor.doc_id(), monitor.session().to_doc())?;
-            monitor.set_doc_id(doc_id);
+            let report = monitor.observe_tick(self.ticks, wide);
+            monitor.checkpoint(&self.db)?;
             for ev in &report.events {
                 self.db.add_serve_event(
                     &ev.tenant, &ev.signal, ev.seq, ev.start, ev.end, ev.severity, ev.pass,
-                );
+                )?;
             }
             wide.self_events = report.events.len() as u64;
         }
-        self.db.add_serve_tick(wide.to_doc());
+        self.db.add_serve_tick(wide.to_doc())?;
 
         let meta = Doc::obj().with("kind", "engine").with("ticks", self.ticks);
-        self.db.raw().update(collections::SERVE_META, self.meta_id, meta)?;
+        self.db.raw().try_update(collections::SERVE_META, self.meta_id, meta)?;
         let commit_start = Instant::now();
-        scope.commit()?;
+        let committed = scope.commit();
         self.last_checkpoint_seconds = commit_start.elapsed().as_secs_f64();
-
-        #[cfg(feature = "faulty")]
-        if crate::fault::take(crate::fault::CrashPoint::BetweenCheckpointAndEmit) {
-            return Err(ServeError::Injected(
-                crate::fault::CrashPoint::BetweenCheckpointAndEmit.label(),
-            ));
-        }
-        sintel_obs::counter_add("sintel_serve_ticks_total", 1);
-        sintel_obs::observe("sintel_serve_checkpoint_seconds", self.last_checkpoint_seconds);
-        if wide.self_events > 0 {
-            sintel_obs::counter_add("sintel_serve_self_events_total", wide.self_events);
-        }
-        sintel_obs::rollup_add("sintel_serve_events_per_tick", wide.drained);
-        sintel_obs::rollup_add("sintel_serve_sheds_per_tick", wide.shed);
-        sintel_obs::rollup_add("sintel_serve_retries_per_tick", wide.retried);
-        sintel_obs::rollup_add("sintel_serve_emits_per_tick", wide.emitted);
-        sintel_obs::rollup_add("sintel_serve_pass_failures_per_tick", wide.pass_failures);
-        sintel_obs::gauge_set("sintel_serve_backlog", self.aggregate_depth() as f64);
-        let tick_elapsed = tick_span.close();
-        sintel_obs::observe_duration("sintel_serve_tick_seconds", tick_elapsed);
-        sintel_obs::rollup_observe(
-            "sintel_serve_tick_window_seconds",
-            tick_elapsed.as_secs_f64(),
-        );
-        sintel_obs::rollup_tick();
-        self.last_wide = Some(wide);
-        self.publish_status();
-        Ok(emitted)
+        committed.map_err(ServeError::from)
     }
 
     /// Every committed anomaly event for `tenant`, in emission (`seq`)

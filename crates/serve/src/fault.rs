@@ -4,7 +4,7 @@
 //! the chaos suite can simulate `kill -9` at the exact moments the
 //! checkpoint protocol is supposed to protect.
 
-use std::sync::Mutex;
+use std::cell::Cell;
 
 /// Where in the tick the simulated crash strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,31 +34,33 @@ impl CrashPoint {
     }
 }
 
-static ARMED: Mutex<Option<CrashPoint>> = Mutex::new(None);
-
-fn armed() -> std::sync::MutexGuard<'static, Option<CrashPoint>> {
-    ARMED.lock().unwrap_or_else(|e| e.into_inner())
+thread_local! {
+    /// The armed point is per thread: a tick checks its crash points on
+    /// the thread that called it, so tests arming points in parallel
+    /// threads of one test binary never crash each other's engines.
+    static ARMED: Cell<Option<CrashPoint>> = const { Cell::new(None) };
 }
 
-/// Arm one crash point; the next tick reaching it crashes (once).
+/// Arm one crash point; the next tick on this thread reaching it
+/// crashes (once).
 pub fn arm(point: CrashPoint) {
-    *armed() = Some(point);
+    ARMED.with(|armed| armed.set(Some(point)));
 }
 
-/// Disarm any armed crash point.
+/// Disarm any crash point armed on this thread.
 pub fn disarm() {
-    *armed() = None;
+    ARMED.with(|armed| armed.set(None));
 }
 
-/// True (and disarms) when `point` is the armed crash point.
+/// True (and disarms) when `point` is this thread's armed crash point.
 pub(crate) fn take(point: CrashPoint) -> bool {
-    let mut guard = armed();
-    if *guard == Some(point) {
-        *guard = None;
-        true
-    } else {
-        false
-    }
+    ARMED.with(|armed| {
+        let hit = armed.get() == Some(point);
+        if hit {
+            armed.set(None);
+        }
+        hit
+    })
 }
 
 #[cfg(test)]

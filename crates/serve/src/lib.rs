@@ -74,7 +74,7 @@ pub use event::{Admission, AnomalyEvent, IngestEvent};
 pub use http::StatusServer;
 pub use queue::TenantQueue;
 pub use selfmon::{SelfMonitor, SELF_TENANT};
-pub use session::TenantSession;
+pub use session::{CheckpointSlot, TenantSession};
 pub use slo::{
     Readiness, SharedStatus, StatusSnapshot, TenantSlo, TenantTickStats, TickWideEvent,
     VOLATILE_TICK_FIELDS,

@@ -23,11 +23,11 @@
 //! offer/tick sequence, never wall clock. Two runs with the same offers
 //! and the same tick cadence emit bitwise-identical `_self` events at
 //! any thread count; the scrape-purity suite relies on that. The
-//! session checkpoints into the same `serve_sessions` collection inside
-//! the same group commit as tenant cuts, and the differencing baseline
-//! is re-seeded from the last committed wide event on recovery, so a
-//! recovered self-monitor continues exactly where the committed cut
-//! left it.
+//! session checkpoints through the same [`TenantSession::checkpoint`]
+//! into the same collections, inside the same group commit as tenant
+//! cuts, and the differencing baseline is re-seeded from the last
+//! committed wide event on recovery, so a recovered self-monitor
+//! continues exactly where the committed cut left it.
 //!
 //! Isolation: `_self` is not a registered tenant. It cannot be offered
 //! events, is invisible in [`crate::engine::ServeStats::tenants`], and
@@ -38,7 +38,7 @@
 
 use crate::engine::ServeConfig;
 use crate::event::IngestEvent;
-use crate::session::{PassReport, TenantSession};
+use crate::session::{CheckpointSlot, PassReport, TenantSession};
 use crate::slo::TickWideEvent;
 use crate::Result;
 use sintel_store::{Doc, SintelDb};
@@ -56,7 +56,7 @@ const STREAMS: [&str; 4] =
 #[derive(Debug)]
 pub struct SelfMonitor {
     session: TenantSession,
-    doc_id: Option<u64>,
+    slot: CheckpointSlot,
     cfg: ServeConfig,
     /// Raw stream values at the previously observed tick (the
     /// differencing baseline); `None` until the first observation.
@@ -86,13 +86,7 @@ impl SelfMonitor {
             min_points: Self::MIN_POINTS,
             ..base.clone()
         };
-        let (session, doc_id) = match db.serve_session(SELF_TENANT) {
-            Some(doc) => {
-                let id = doc.get("_id").and_then(Doc::as_i64).map(|v| v.max(0) as u64);
-                (TenantSession::from_doc(&doc)?, id)
-            }
-            None => (TenantSession::new(SELF_TENANT), None),
-        };
+        let (session, slot) = TenantSession::recover(db, SELF_TENANT)?;
         let last_raw = if ticks > 0 {
             db.serve_ticks_at(ticks).first().map(|doc| {
                 let field = |k: &str| {
@@ -103,7 +97,7 @@ impl SelfMonitor {
         } else {
             None
         };
-        Ok(SelfMonitor { session, doc_id, cfg, last_raw })
+        Ok(SelfMonitor { session, slot, cfg, last_raw })
     }
 
     /// Absorb one committed tick's operational measurements, running
@@ -136,14 +130,16 @@ impl SelfMonitor {
         &self.session
     }
 
-    /// Store document id of the session checkpoint, once committed.
-    pub fn doc_id(&self) -> Option<u64> {
-        self.doc_id
+    /// Checkpoint the session into its slot (inside the engine's group
+    /// commit), exactly as a tenant's session is checkpointed.
+    pub fn checkpoint(&mut self, db: &SintelDb) -> Result<()> {
+        self.session.checkpoint(db, &mut self.slot, &self.cfg)
     }
 
-    /// Record the checkpoint document id after an upsert.
-    pub fn set_doc_id(&mut self, id: u64) {
-        self.doc_id = Some(id);
+    /// Rewrite whole windows at the next checkpoint (after a failed
+    /// commit; see [`CheckpointSlot::invalidate`]).
+    pub fn invalidate(&mut self) {
+        self.slot.invalidate();
     }
 }
 
@@ -216,7 +212,7 @@ mod tests {
         let db2 = SintelDb::in_memory();
         let mut first = SelfMonitor::open(&db2, &ServeConfig::for_tests(), 0).expect("open");
         let early = feed(&mut first, 1, 50);
-        db2.upsert_serve_session(None, first.session().to_doc()).expect("checkpoint");
+        first.checkpoint(&db2).expect("checkpoint");
         let mut resumed = SelfMonitor::open(&db2, &ServeConfig::for_tests(), 0).expect("recover");
         let late = feed(&mut resumed, 1, 100);
 
@@ -236,8 +232,8 @@ mod tests {
         for tick in 1..=40u64 {
             monitor.observe_tick(tick, &wide(tick, 100, 0, 0));
         }
-        db.upsert_serve_session(None, monitor.session().to_doc()).expect("checkpoint");
-        db.add_serve_tick(wide(40, 100, 0, 0).to_doc());
+        monitor.checkpoint(&db).expect("checkpoint");
+        db.add_serve_tick(wide(40, 100, 0, 0).to_doc()).expect("wide event");
 
         let recovered = SelfMonitor::open(&db, &ServeConfig::for_tests(), 40).expect("recover");
         assert_eq!(recovered.last_raw, Some([100.0, 0.0, 0.0, 0.0]));

@@ -1,5 +1,5 @@
 //! Per-tenant streaming sessions: sliding-window buffers, detection
-//! passes and checkpoint (de)serialization.
+//! passes, and incremental checkpoints with their recovery.
 //!
 //! The determinism contract of the serving tier lives here: **emissions
 //! are a pure function of the accepted event sequence**. Two mechanisms
@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use sintel_pipeline::policy::{classify_pipeline_error, run_with_policy, Failure, FailureKind};
 use sintel_pipeline::Template;
-use sintel_store::Doc;
+use sintel_store::{Doc, SintelDb};
 use sintel_timeseries::Signal;
 
 use crate::breaker::{Breaker, BreakerEvent, BreakerState};
@@ -343,10 +343,66 @@ impl TenantSession {
         }
     }
 
-    // ---- checkpoint (de)serialization ---------------------------------
+    // ---- checkpoint and recovery ---------------------------------------
 
-    /// Encode the session as a checkpoint document.
-    pub fn to_doc(&self) -> Doc {
+    /// Write this session's checkpoint into `slot`, in time proportional
+    /// to the samples absorbed since the slot's last checkpoint, not to
+    /// the window: per signal, one chunk holding those new samples is
+    /// inserted, chunks that slid wholly out of the window (ending at or
+    /// before `ingested - len`) are deleted, and the small metadata
+    /// document is upserted. While the newest chunk holds fewer than
+    /// `cfg.hop` samples it is extended in place instead, so a signal
+    /// keeps at most ⌈window/hop⌉ + 1 chunks at any tick cadence and a
+    /// checkpoint writes fewer than `hop` + new samples. Every other
+    /// chunk is immutable. Called inside the engine's group commit;
+    /// every store write surfaces its error.
+    pub fn checkpoint(
+        &self,
+        db: &SintelDb,
+        slot: &mut CheckpointSlot,
+        cfg: &ServeConfig,
+    ) -> Result<()> {
+        for (signal, buffer) in &self.buffers {
+            let live = slot.chunks.entry(signal.clone()).or_default();
+            if slot.stale {
+                for chunk in live.drain(..) {
+                    db.delete_serve_chunk(chunk.id)?;
+                }
+            }
+            let start = buffer.ingested.saturating_sub(buffer.len() as u64);
+            let persisted = live.last().map_or(start, |c| c.end).max(start);
+            if persisted < buffer.ingested {
+                let short = live.last().filter(|c| c.first >= start && c.end - c.first < cfg.hop);
+                let (id, first) = match short {
+                    Some(c) => (Some(c.id), c.first),
+                    None => (None, persisted),
+                };
+                let from = buffer.len() - (buffer.ingested - first) as usize;
+                let id = db.upsert_serve_chunk(
+                    id,
+                    &self.tenant,
+                    signal,
+                    first,
+                    &buffer.timestamps[from..],
+                    &buffer.values[from..],
+                )?;
+                if short.is_some() {
+                    live.pop();
+                }
+                live.push(ChunkRef { id, first, end: buffer.ingested });
+            }
+            let expired = live.iter().take_while(|c| c.end <= start).count();
+            for chunk in live.drain(..expired) {
+                db.delete_serve_chunk(chunk.id)?;
+            }
+        }
+        slot.meta_id = Some(db.upsert_serve_session(slot.meta_id, self.meta_doc())?);
+        slot.stale = false;
+        Ok(())
+    }
+
+    /// The checkpoint metadata document: everything but the samples.
+    fn meta_doc(&self) -> Doc {
         let (state, trips) = self.breaker.parts();
         let (label, consecutive, until) = match state {
             BreakerState::Closed { consecutive_failures } => {
@@ -361,16 +417,15 @@ impl TenantSession {
             .map(|(name, b)| {
                 Doc::obj()
                     .with("signal", name.as_str())
-                    .with("ingested", b.ingested as i64)
+                    .with("ingested", b.ingested)
                     .with("emitted_until", b.emitted_until)
-                    .with("timestamps", Doc::from(b.timestamps.clone()))
-                    .with("values", Doc::from(b.values.clone()))
+                    .with("len", b.len())
             })
             .collect();
         Doc::obj()
             .with("tenant", self.tenant.as_str())
-            .with("pass_counter", self.pass_counter as i64)
-            .with("next_seq", self.next_seq as i64)
+            .with("pass_counter", self.pass_counter)
+            .with("next_seq", self.next_seq)
             .with("degraded", self.degraded)
             .with("quarantined", self.quarantined)
             .with("breaker_state", label)
@@ -380,84 +435,229 @@ impl TenantSession {
             .with("signals", Doc::Arr(signals))
     }
 
-    /// Decode a checkpoint document written by [`TenantSession::to_doc`].
-    pub fn from_doc(doc: &Doc) -> Result<TenantSession> {
-        let str_field = |d: &Doc, k: &str| -> Result<String> {
-            d.get(k)
-                .and_then(Doc::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| ServeError::Checkpoint(format!("missing string field '{k}'")))
+    /// Recover `tenant`'s session and checkpoint slot from `db`: a fresh
+    /// session and an empty slot when nothing was checkpointed. Each
+    /// window is rebuilt from its signal's chunks sorted by `first`:
+    /// those ending at or before the window start (`ingested - len`)
+    /// are skipped, and the rest must form one contiguous run ending at
+    /// `ingested` and covering the last `len` samples. Any other shape
+    /// (gaps, overlaps, a short run, orphan chunks, malformed fields, or
+    /// a store written with the earlier inline-window layout) is a
+    /// [`ServeError::Checkpoint`], never a panic.
+    pub fn recover(db: &SintelDb, tenant: &str) -> Result<(TenantSession, CheckpointSlot)> {
+        let Some(meta) = db.serve_session(tenant) else {
+            return Ok((TenantSession::new(tenant), CheckpointSlot::default()));
         };
-        let i64_field = |d: &Doc, k: &str| -> Result<i64> {
-            d.get(k)
-                .and_then(Doc::as_i64)
-                .ok_or_else(|| ServeError::Checkpoint(format!("missing int field '{k}'")))
-        };
-        let bool_field = |d: &Doc, k: &str| -> Result<bool> {
-            d.get(k)
-                .and_then(Doc::as_bool)
-                .ok_or_else(|| ServeError::Checkpoint(format!("missing bool field '{k}'")))
-        };
-        let state = match str_field(doc, "breaker_state")?.as_str() {
+        let mut runs: BTreeMap<String, Vec<Chunk>> = BTreeMap::new();
+        for doc in db.serve_chunks(tenant) {
+            let chunk = Chunk::decode(&doc)?;
+            runs.entry(str_field(&doc, "signal")?).or_default().push(chunk);
+        }
+        let state = match str_field(&meta, "breaker_state")?.as_str() {
             "closed" => BreakerState::Closed {
-                consecutive_failures: i64_field(doc, "breaker_consecutive")?.max(0) as u32,
+                consecutive_failures: u64_field(&meta, "breaker_consecutive")?
+                    .min(u64::from(u32::MAX)) as u32,
             },
-            "open" => BreakerState::Open {
-                until_pass: i64_field(doc, "breaker_until_pass")?.max(0) as u64,
-            },
+            "open" => BreakerState::Open { until_pass: u64_field(&meta, "breaker_until_pass")? },
             "half_open" => BreakerState::HalfOpen,
             other => {
                 return Err(ServeError::Checkpoint(format!("unknown breaker state '{other}'")))
             }
         };
-        let mut buffers = BTreeMap::new();
-        let signals = doc
+        let trips = u64_field(&meta, "breaker_trips")?.min(u64::from(u32::MAX)) as u32;
+        let mut session = TenantSession {
+            tenant: str_field(&meta, "tenant")?,
+            pass_counter: u64_field(&meta, "pass_counter")?,
+            next_seq: u64_field(&meta, "next_seq")?,
+            degraded: bool_field(&meta, "degraded")?,
+            quarantined: bool_field(&meta, "quarantined")?,
+            breaker: Breaker::from_parts(state, trips),
+            buffers: BTreeMap::new(),
+        };
+        let mut slot =
+            CheckpointSlot { meta_id: Some(u64_field(&meta, "_id")?), ..Default::default() };
+        let signals = meta
             .get("signals")
             .and_then(Doc::as_arr)
             .ok_or_else(|| ServeError::Checkpoint("missing 'signals' array".to_string()))?;
         for entry in signals {
             let name = str_field(entry, "signal")?;
-            let timestamps: Vec<i64> = entry
-                .get("timestamps")
-                .and_then(Doc::as_arr)
-                .ok_or_else(|| ServeError::Checkpoint("missing 'timestamps'".to_string()))?
-                .iter()
-                .filter_map(Doc::as_i64)
-                .collect();
-            let values: Vec<f64> = entry
-                .get("values")
-                .and_then(Doc::as_arr)
-                .ok_or_else(|| ServeError::Checkpoint("missing 'values'".to_string()))?
-                .iter()
-                .filter_map(Doc::as_f64)
-                .collect();
-            if timestamps.len() != values.len() {
-                return Err(ServeError::Checkpoint(format!(
-                    "signal '{name}': {} timestamps vs {} values",
-                    timestamps.len(),
-                    values.len()
-                )));
+            let run = runs.remove(&name).unwrap_or_default();
+            let (buffer, live) = rebuild_window(&name, run, entry)?;
+            if session.buffers.insert(name.clone(), buffer).is_some() {
+                return Err(ServeError::Checkpoint(format!("signal '{name}' listed twice")));
             }
-            buffers.insert(
-                name,
-                SignalBuffer {
-                    timestamps,
-                    values,
-                    ingested: i64_field(entry, "ingested")?.max(0) as u64,
-                    emitted_until: i64_field(entry, "emitted_until")?,
-                },
-            );
+            slot.chunks.insert(name, live);
         }
-        Ok(TenantSession {
-            tenant: str_field(doc, "tenant")?,
-            pass_counter: i64_field(doc, "pass_counter")?.max(0) as u64,
-            next_seq: i64_field(doc, "next_seq")?.max(0) as u64,
-            degraded: bool_field(doc, "degraded")?,
-            quarantined: bool_field(doc, "quarantined")?,
-            breaker: Breaker::from_parts(state, i64_field(doc, "breaker_trips")?.max(0) as u32),
-            buffers,
-        })
+        if let Some(orphan) = runs.keys().next() {
+            return Err(ServeError::Checkpoint(format!(
+                "chunks for signal '{orphan}', which the checkpoint does not list"
+            )));
+        }
+        Ok((session, slot))
     }
+}
+
+/// Where one session's checkpoint lives in the store: the metadata
+/// document's id and, per signal, the live window chunks in `first`
+/// order. Tenants and the `_self` monitor each own one slot, written
+/// by [`TenantSession::checkpoint`] and rebuilt by
+/// [`TenantSession::recover`].
+#[derive(Debug, Clone, Default)]
+pub struct CheckpointSlot {
+    meta_id: Option<u64>,
+    chunks: BTreeMap<String, Vec<ChunkRef>>,
+    /// The store may lack chunks this slot lists (a commit failed after
+    /// they were written), so the next checkpoint rewrites every window
+    /// whole instead of appending to it.
+    stale: bool,
+}
+
+impl CheckpointSlot {
+    /// Mark the slot stale after a failed commit: the next checkpoint
+    /// replaces every live chunk with one holding the whole window, so
+    /// a later successful commit leaves a recoverable store.
+    pub fn invalidate(&mut self) {
+        self.stale = true;
+    }
+}
+
+/// One live chunk of a slot: its document id and the absolute indices
+/// of its first sample and one past its last.
+#[derive(Debug, Clone, Copy)]
+struct ChunkRef {
+    id: u64,
+    first: u64,
+    end: u64,
+}
+
+/// A decoded `serve_chunks` document.
+struct Chunk {
+    id: u64,
+    first: u64,
+    timestamps: Vec<i64>,
+    values: Vec<f64>,
+}
+
+impl Chunk {
+    fn decode(doc: &Doc) -> Result<Chunk> {
+        let array = |key: &str| {
+            doc.get(key)
+                .and_then(Doc::as_arr)
+                .ok_or_else(|| ServeError::Checkpoint(format!("chunk lacks a '{key}' array")))
+        };
+        let timestamps = array("timestamps")?
+            .iter()
+            .map(Doc::as_i64)
+            .collect::<Option<Vec<i64>>>()
+            .ok_or_else(|| ServeError::Checkpoint("non-integer chunk timestamp".to_string()))?;
+        // The JSON codec writes non-finite floats as null.
+        let values = array("values")?
+            .iter()
+            .map(|v| if matches!(v, Doc::Null) { Some(f64::NAN) } else { v.as_f64() })
+            .collect::<Option<Vec<f64>>>()
+            .ok_or_else(|| ServeError::Checkpoint("non-numeric chunk value".to_string()))?;
+        if timestamps.is_empty() || timestamps.len() != values.len() {
+            return Err(ServeError::Checkpoint(format!(
+                "chunk holds {} timestamps and {} values",
+                timestamps.len(),
+                values.len()
+            )));
+        }
+        let (id, first) = (u64_field(doc, "_id")?, u64_field(doc, "first")?);
+        Ok(Chunk { id, first, timestamps, values })
+    }
+}
+
+/// Rebuild one signal's window from its chunks (see
+/// [`TenantSession::recover`]), returning the buffer and the live
+/// chunk list of its slot.
+fn rebuild_window(
+    signal: &str,
+    mut run: Vec<Chunk>,
+    entry: &Doc,
+) -> Result<(SignalBuffer, Vec<ChunkRef>)> {
+    let bad = |why: String| ServeError::Checkpoint(format!("signal '{signal}': {why}"));
+    if entry.get("timestamps").is_some() {
+        let why = "inline window of an earlier store layout; replay the stream into an empty store";
+        return Err(bad(why.to_string()));
+    }
+    let ingested = u64_field(entry, "ingested")?;
+    let len = u64_field(entry, "len")?;
+    if len == 0 || len > ingested {
+        return Err(bad(format!("window of {len} samples after {ingested} ingested")));
+    }
+    let start = ingested - len;
+    // Chunks wholly before the window are expiries a failed commit
+    // lost: skip them, and list them first so the next checkpoint
+    // deletes them.
+    let mut live: Vec<ChunkRef> = Vec::with_capacity(run.len());
+    run.retain(|c| match c.first.checked_add(c.timestamps.len() as u64) {
+        Some(end) if end <= start => {
+            live.push(ChunkRef { id: c.id, first: c.first, end });
+            false
+        }
+        _ => true,
+    });
+    run.sort_by_key(|c| c.first);
+    let stored: usize = run.iter().map(|c| c.timestamps.len()).sum();
+    let capacity = stored.min(usize::try_from(len).unwrap_or(usize::MAX));
+    let mut end = match run.first() {
+        Some(c) if c.first <= start => c.first,
+        _ => return Err(bad(format!("chunks do not reach back to sample {start}"))),
+    };
+    let mut timestamps = Vec::with_capacity(capacity);
+    let mut values = Vec::with_capacity(capacity);
+    for chunk in run {
+        if chunk.first != end {
+            return Err(bad(format!("chunk at {} does not follow sample {end}", chunk.first)));
+        }
+        end = chunk
+            .first
+            .checked_add(chunk.timestamps.len() as u64)
+            .ok_or_else(|| bad("chunk index overflow".to_string()))?;
+        let skip = start.saturating_sub(chunk.first) as usize;
+        timestamps.extend_from_slice(&chunk.timestamps[skip..]);
+        values.extend_from_slice(&chunk.values[skip..]);
+        live.push(ChunkRef { id: chunk.id, first: chunk.first, end });
+    }
+    if end != ingested {
+        return Err(bad(format!("chunks end at sample {end}, not at {ingested}")));
+    }
+    if timestamps.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(bad("timestamps are not strictly increasing".to_string()));
+    }
+    let buffer = SignalBuffer {
+        timestamps,
+        values,
+        ingested,
+        emitted_until: i64_field(entry, "emitted_until")?,
+    };
+    Ok((buffer, live))
+}
+
+fn str_field(doc: &Doc, key: &str) -> Result<String> {
+    doc.get(key)
+        .and_then(Doc::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| ServeError::Checkpoint(format!("missing string field '{key}'")))
+}
+
+fn i64_field(doc: &Doc, key: &str) -> Result<i64> {
+    doc.get(key)
+        .and_then(Doc::as_i64)
+        .ok_or_else(|| ServeError::Checkpoint(format!("missing int field '{key}'")))
+}
+
+fn u64_field(doc: &Doc, key: &str) -> Result<u64> {
+    u64::try_from(i64_field(doc, key)?)
+        .map_err(|_| ServeError::Checkpoint(format!("negative int field '{key}'")))
+}
+
+fn bool_field(doc: &Doc, key: &str) -> Result<bool> {
+    doc.get(key)
+        .and_then(Doc::as_bool)
+        .ok_or_else(|| ServeError::Checkpoint(format!("missing bool field '{key}'")))
 }
 
 #[cfg(test)]
@@ -548,6 +748,13 @@ mod tests {
         assert_eq!(buffer.last_timestamp(), Some(399));
     }
 
+    /// Checkpoint `session` into a fresh slot of an in-memory store.
+    fn checkpointed(session: &TenantSession) -> SintelDb {
+        let db = SintelDb::in_memory();
+        session.checkpoint(&db, &mut CheckpointSlot::default(), &cfg()).expect("checkpoint");
+        db
+    }
+
     #[test]
     fn checkpoint_round_trips_bitwise() {
         let cfg = cfg();
@@ -557,16 +764,102 @@ mod tests {
         let mut report = PassReport::default();
         session.degrade(&mut report);
         assert!(report.degraded_now);
-        let doc = session.to_doc();
-        let restored = TenantSession::from_doc(&doc).expect("decode");
+        let db = checkpointed(&session);
+        let (restored, _) = TenantSession::recover(&db, "acme").expect("recover");
+        assert_eq!(restored, session);
+        let (fresh, _) = TenantSession::recover(&db, "nobody").expect("recover");
+        assert_eq!(fresh, TenantSession::new("nobody"));
+    }
+
+    #[test]
+    fn incremental_checkpoints_write_only_new_samples() {
+        let cfg = cfg();
+        let db = SintelDb::in_memory();
+        let mut slot = CheckpointSlot::default();
+        let mut session = TenantSession::new("acme");
+        let template = cheap_template();
+        let mut report = PassReport::default();
+        for t in 0..400i64 {
+            let ev = IngestEvent::new("acme", "cpu", t, (t as f64 / 8.0).sin());
+            session.absorb(&ev, &template, &cfg, &mut report);
+            if (t + 1) % 48 == 0 {
+                session.checkpoint(&db, &mut slot, &cfg).expect("checkpoint");
+                let chunks = db.serve_chunks("acme");
+                let newest = chunks.last().expect("a chunk per checkpoint");
+                let samples = newest.get("timestamps").and_then(Doc::as_arr).map(<[Doc]>::len);
+                assert_eq!(samples, Some(48), "a chunk holds only the new samples");
+                // 128-sample window in 48-sample chunks: at most 4 live.
+                assert!(chunks.len() <= 4, "{} live chunks", chunks.len());
+                let (restored, _) = TenantSession::recover(&db, "acme").expect("recover");
+                assert_eq!(restored, session);
+            }
+        }
+    }
+
+    #[test]
+    fn short_chunks_are_coalesced_at_any_cadence() {
+        // One sample per checkpoint: each chunk grows until it holds a
+        // hop, so a 128-sample window at hop 32 keeps at most 5 chunks.
+        let cfg = cfg();
+        let db = SintelDb::in_memory();
+        let mut slot = CheckpointSlot::default();
+        let mut session = TenantSession::new("acme");
+        let template = cheap_template();
+        let mut report = PassReport::default();
+        for t in 0..300i64 {
+            let ev = IngestEvent::new("acme", "cpu", t, (t as f64 / 8.0).sin());
+            session.absorb(&ev, &template, &cfg, &mut report);
+            session.checkpoint(&db, &mut slot, &cfg).expect("checkpoint");
+            let chunks = db.serve_chunks("acme").len();
+            assert!(chunks <= 5, "{chunks} live chunks after sample {t}");
+        }
+        let (restored, _) = TenantSession::recover(&db, "acme").expect("recover");
+        assert_eq!(restored, session);
+    }
+
+    #[test]
+    fn invalidated_slot_rewrites_whole_windows() {
+        let cfg = cfg();
+        let db = SintelDb::in_memory();
+        let mut slot = CheckpointSlot::default();
+        let mut session = TenantSession::new("acme");
+        feed(&mut session, &cfg, 100);
+        session.checkpoint(&db, &mut slot, &cfg).expect("checkpoint");
+        slot.invalidate();
+        session.checkpoint(&db, &mut slot, &cfg).expect("checkpoint");
+        let chunks = db.serve_chunks("acme");
+        assert_eq!(chunks.len(), 1, "the stale chunk was replaced");
+        assert_eq!(chunks[0].get("first").and_then(Doc::as_i64), Some(0));
+        let (restored, _) = TenantSession::recover(&db, "acme").expect("recover");
         assert_eq!(restored, session);
     }
 
     #[test]
     fn corrupt_checkpoint_is_rejected() {
-        assert!(TenantSession::from_doc(&Doc::obj()).is_err());
-        let half = Doc::obj().with("tenant", "t").with("pass_counter", 1i64);
-        assert!(TenantSession::from_doc(&half).is_err());
+        use sintel_store::schema::collections;
+        let db = SintelDb::in_memory();
+        db.upsert_serve_session(None, Doc::obj().with("tenant", "t").with("pass_counter", 1i64))
+            .expect("insert");
+        assert!(matches!(TenantSession::recover(&db, "t"), Err(ServeError::Checkpoint(_))));
+
+        // A store written with the earlier inline-window layout (samples
+        // inside the session document, no `len`, no chunks) is refused.
+        let mut session = TenantSession::new("old");
+        feed(&mut session, &cfg(), 40);
+        let mut inline = session.meta_doc();
+        let signals = vec![Doc::obj()
+            .with("signal", "cpu")
+            .with("ingested", 40i64)
+            .with("emitted_until", i64::MIN)
+            .with("timestamps", Doc::from((0..40i64).collect::<Vec<_>>()))
+            .with("values", Doc::from(vec![0.0; 40]))];
+        inline.set("signals", Doc::Arr(signals));
+        db.raw().try_insert(collections::SERVE_SESSIONS, inline).expect("insert");
+        let refused = TenantSession::recover(&db, "old");
+        assert!(
+            matches!(&refused, Err(ServeError::Checkpoint(why)) if why.contains("earlier store layout")),
+            "{refused:?}"
+        );
     }
 
     #[test]
@@ -580,8 +873,8 @@ mod tests {
         // the whole stream (at-least-once) — absorbed idempotently.
         let mut first = TenantSession::new("acme");
         let early = feed(&mut first, &cfg, 100);
-        let mut resumed =
-            TenantSession::from_doc(&first.to_doc()).expect("decode checkpoint");
+        let (mut resumed, _) =
+            TenantSession::recover(&checkpointed(&first), "acme").expect("recover checkpoint");
         let late = feed(&mut resumed, &cfg, 256);
 
         assert_eq!(resumed, full, "recovered session state must converge");

@@ -168,8 +168,8 @@ fn flaky_tenant_recovers_without_tripping() {
     assert!(victim.passes_run > victim.pass_failures, "later passes must succeed");
 }
 
-/// Both checkpoint-protocol crash points, driven in one test because
-/// the armed crash point is process-global state.
+/// Both checkpoint-protocol crash points, driven in one test (a point
+/// is armed for the calling thread and fires once).
 #[test]
 fn checkpoint_crash_points_recover_exactly_once() {
     disarm();
@@ -231,6 +231,59 @@ fn checkpoint_crash_points_recover_exactly_once() {
             "a crash cannot commit more than the fault-free run"
         );
     }
+}
+
+/// A WAL append failing inside a tick's group commit surfaces as that
+/// tick's `Err`. The engine then rewrites whole windows at its next
+/// checkpoint, so the store it keeps writing still recovers every
+/// session exactly as it lives in memory.
+#[test]
+fn wal_append_failure_surfaces_from_tick() {
+    use sintel_store::wal::fault as wal_fault;
+    use sintel_store::{Durability, StoreError, StoreOptions};
+
+    let dir = std::env::temp_dir().join(format!("sintel-chaos-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open_db = || {
+        let opts = StoreOptions { durability: Durability::Wal, ..StoreOptions::default() };
+        SintelDb::open_with(&dir, opts).expect("open store")
+    };
+    let specs = || vec![TenantSpec::new("acme", 5, healthy_template())];
+    let mut engine = ServeEngine::open(open_db(), chaos_config(), specs()).expect("open");
+    let events = events_for(&["acme"], 256);
+    let mut ticks = events.chunks(24);
+    for batch in ticks.by_ref().take(6) {
+        for event in batch {
+            engine.offer(event).expect("offer");
+        }
+        engine.tick().expect("tick");
+    }
+
+    for event in ticks.next().expect("events left") {
+        engine.offer(event).expect("offer");
+    }
+    wal_fault::arm(wal_fault::CrashPoint::BeforeAppend);
+    let failed = engine.tick();
+    wal_fault::disarm();
+    assert!(
+        matches!(failed, Err(ServeError::Store(StoreError::Injected(_)))),
+        "the failed append must surface from tick: {failed:?}"
+    );
+
+    for batch in ticks {
+        for event in batch {
+            engine.offer(event).expect("offer");
+        }
+        engine.tick().expect("tick");
+    }
+    let live = engine.session("acme").cloned();
+    let live_self = engine.self_session().cloned();
+    drop(engine);
+    let recovered = ServeEngine::open(open_db(), chaos_config(), specs()).expect("recover");
+    assert_eq!(recovered.session("acme").cloned(), live);
+    assert_eq!(recovered.self_session().cloned(), live_self);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn rss_kb() -> u64 {

@@ -3,6 +3,7 @@
 //! and the store needs exact control over number round-tripping anyway).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::doc::Doc;
 use crate::{Result, StoreError};
@@ -19,11 +20,13 @@ fn write_doc(doc: &Doc, out: &mut String) {
         Doc::Null => out.push_str("null"),
         Doc::Bool(true) => out.push_str("true"),
         Doc::Bool(false) => out.push_str("false"),
-        Doc::I64(v) => out.push_str(&v.to_string()),
+        // Writing into a `String` cannot fail.
+        Doc::I64(v) => {
+            let _ = write!(out, "{v}");
+        }
         Doc::F64(v) => {
             if v.is_finite() {
-                let s = format!("{v:?}"); // Debug prints a lossless float
-                out.push_str(&s);
+                let _ = write!(out, "{v:?}"); // Debug prints a lossless float
             } else {
                 // JSON has no NaN/Inf: encode as null (Mongo does the same
                 // on strict export).
@@ -66,7 +69,7 @@ fn write_string(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -152,18 +155,30 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Doc> {
     }
 }
 
+/// Parse a string literal in time linear in its length: each run of
+/// plain bytes up to the next quote or backslash is validated and
+/// copied once. Both delimiters are ASCII, and ASCII bytes never occur
+/// inside a multi-byte UTF-8 sequence, so a run always ends on a
+/// character boundary.
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
+        let start = *pos;
+        while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\') {
+            *pos += 1;
+        }
+        let run = std::str::from_utf8(&bytes[start..*pos])
+            .map_err(|e| err(start + e.valid_up_to(), "invalid utf-8"))?;
+        out.push_str(run);
         match bytes.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            _ => {
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -177,26 +192,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
                     Some(b'u') => {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| err(*pos, "bad \\u escape"))?,
-                            16,
-                        )
-                        .map_err(|_| err(*pos, "bad \\u escape"))?;
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .ok_or_else(|| err(*pos, "truncated or bad \\u escape"))?;
+                        let code = hex.iter().fold(0u32, |acc, &h| {
+                            acc * 16 + char::from(h).to_digit(16).unwrap_or(0)
+                        });
                         out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         *pos += 4;
                     }
                     _ => return Err(err(*pos, "invalid escape")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 code point.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err(*pos, "invalid utf-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -264,6 +270,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Doc> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sintel_common::check;
     use sintel_common::SintelRng;
 
     #[test]
@@ -378,6 +385,86 @@ mod tests {
                 Doc::Obj(map)
             }
         }
+    }
+
+    /// One string "segment": a long plain ASCII run, an escaped
+    /// character, a raw control character, or a multi-byte code point.
+    fn random_segment(rng: &mut SintelRng, out: &mut String) {
+        const ESCAPED: &[char] = &['"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}'];
+        const WIDE: &[char] = &['é', 'ß', '€', '信', '号', '\u{FFFD}', '🚀', '\u{10FFFF}'];
+        match rng.index(4) {
+            0 => {
+                let len = rng.index(200);
+                out.extend((0..len).map(|_| (b' ' + rng.index(95) as u8) as char));
+            }
+            1 => out.push(*rng.choice(ESCAPED)),
+            2 => out.push(char::from(rng.index(0x20) as u8)),
+            _ => out.push(*rng.choice(WIDE)),
+        }
+    }
+
+    fn random_rich_string(rng: &mut SintelRng) -> String {
+        let mut s = String::new();
+        for _ in 0..rng.index(8) {
+            random_segment(rng, &mut s);
+        }
+        s
+    }
+
+    /// A bare string, an array of strings or an object of string keys
+    /// and values: every proper prefix of its encoding is incomplete.
+    fn random_string_doc(rng: &mut SintelRng) -> Doc {
+        match rng.index(3) {
+            0 => Doc::Str(random_rich_string(rng)),
+            1 => Doc::Arr((0..rng.index(4)).map(|_| Doc::Str(random_rich_string(rng))).collect()),
+            _ => Doc::Obj(
+                (0..rng.index(4))
+                    .map(|_| (random_rich_string(rng), Doc::Str(random_rich_string(rng))))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn prop_string_roundtrip_and_truncation() {
+        check::forall(
+            "json string round trip + truncations",
+            &check::Config::default().cases(96),
+            random_string_doc,
+            check::shrinks::none,
+            |doc| {
+                let json = to_json(doc);
+                let back = from_json(&json).map_err(|e| format!("{json:?}: {e}"))?;
+                if &back != doc {
+                    return Err(format!("round trip changed {doc:?} into {back:?}"));
+                }
+                for cut in (0..json.len()).filter(|&i| json.is_char_boundary(i)) {
+                    match from_json(&json[..cut]) {
+                        Err(StoreError::Parse { .. }) => {}
+                        other => return Err(format!("prefix {cut} of {json:?}: {other:?}")),
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 256 KiB in one string: a parser quadratic in string length
+        // would need ~3·10^10 byte checks here (minutes); a linear one
+        // takes milliseconds.
+        let long = "x".repeat(1 << 18) + "é\"" + &"y".repeat(1 << 10);
+        let json = to_json(&Doc::from(long.as_str()));
+        assert_eq!(from_json(&json).unwrap(), Doc::Str(long));
+    }
+
+    #[test]
+    fn bad_unicode_escapes_are_parse_errors() {
+        for bad in [r#""\u12""#, r#""\u+123""#, r#""\uzzzz""#, r#""\u"#, r#""\q""#] {
+            assert!(matches!(from_json(bad), Err(StoreError::Parse { .. })), "{bad}");
+        }
+        assert_eq!(from_json(r#""\u00e9\/""#).unwrap(), Doc::Str("é/".into()));
     }
 
     #[test]

@@ -58,8 +58,16 @@ pub mod collections {
     pub const METRICS_SNAPSHOTS: &str = "metrics_snapshots";
     /// Static-analysis diagnostics recorded for benchmarked pipelines.
     pub const DIAGNOSTICS: &str = "diagnostics";
-    /// Serving-tier session checkpoints, one per tenant.
+    /// Serving-tier session checkpoint metadata, one per tenant
+    /// (breaker, counters and per-signal `ingested`/`emitted_until`/
+    /// `len`; the window samples live in [`SERVE_CHUNKS`]).
     pub const SERVE_SESSIONS: &str = "serve_sessions";
+    /// Serving-tier window samples: `{tenant, signal, first,
+    /// timestamps, values}` chunks, one per signal per checkpoint that
+    /// absorbed new samples (`first` is the absolute index of the
+    /// chunk's first sample). Only a newest chunk shorter than a hop is
+    /// ever rewritten.
+    pub const SERVE_CHUNKS: &str = "serve_chunks";
     /// Serving-tier committed anomaly events (`seq` is per-tenant dense).
     pub const SERVE_EVENTS: &str = "serve_events";
     /// Serving-tier engine metadata (tick counter etc.).
@@ -105,6 +113,7 @@ impl SintelDb {
         self.db.create_index(collections::METRICS_SNAPSHOTS, "run");
         self.db.create_index(collections::DIAGNOSTICS, "pipeline");
         self.db.create_index(collections::SERVE_SESSIONS, "tenant");
+        self.db.create_index(collections::SERVE_CHUNKS, "tenant");
         self.db.create_index(collections::SERVE_EVENTS, "tenant");
         self.db.create_index(collections::SERVE_META, "kind");
         self.db.create_index(collections::SERVE_TICKS, "tick");
@@ -321,26 +330,65 @@ impl SintelDb {
 
     // ---- serving tier --------------------------------------------------
 
-    /// Upsert a tenant's serving-session checkpoint: update in place
-    /// when `doc_id` is known, insert otherwise. Returns the document
-    /// id (stable across updates, so the serving engine can keep
-    /// checkpointing into the same slot).
+    /// Upsert a tenant's serving-session checkpoint metadata: update in
+    /// place when `doc_id` is known, insert otherwise. Returns the
+    /// document id (stable across updates, so the serving engine can
+    /// keep checkpointing into the same slot). WAL failures surface.
     pub fn upsert_serve_session(&self, doc_id: Option<u64>, doc: Doc) -> Result<u64> {
-        match doc_id {
-            Some(id) => {
-                self.db.update(collections::SERVE_SESSIONS, id, doc)?;
-                Ok(id)
-            }
-            None => Ok(self.db.insert(collections::SERVE_SESSIONS, doc)),
-        }
+        self.upsert(collections::SERVE_SESSIONS, doc_id, doc)
     }
 
-    /// A tenant's persisted serving-session checkpoint, if any.
+    /// A tenant's persisted serving-session checkpoint metadata, if any.
     pub fn serve_session(&self, tenant: &str) -> Option<Doc> {
         self.db.find_one(collections::SERVE_SESSIONS, &Filter::eq("tenant", tenant))
     }
 
-    /// Record a committed serving-tier anomaly event.
+    /// Persist one window chunk of a tenant's signal: the samples with
+    /// absolute indices `first..first + timestamps.len()`. Replaces
+    /// chunk `id` when given, inserts a new one otherwise; returns the
+    /// chunk's document id. WAL failures surface.
+    pub fn upsert_serve_chunk(
+        &self,
+        id: Option<u64>,
+        tenant: &str,
+        signal: &str,
+        first: u64,
+        timestamps: &[i64],
+        values: &[f64],
+    ) -> Result<u64> {
+        let doc = Doc::obj()
+            .with("tenant", tenant)
+            .with("signal", signal)
+            .with("first", first)
+            .with("timestamps", Doc::Arr(timestamps.iter().map(|&t| Doc::I64(t)).collect()))
+            .with("values", Doc::Arr(values.iter().map(|&v| Doc::F64(v)).collect()));
+        self.upsert(collections::SERVE_CHUNKS, id, doc)
+    }
+
+    /// Replace document `id` when given, insert otherwise; returns the
+    /// document id. WAL failures surface.
+    fn upsert(&self, collection: &str, id: Option<u64>, doc: Doc) -> Result<u64> {
+        match id {
+            Some(id) => {
+                self.db.try_update(collection, id, doc)?;
+                Ok(id)
+            }
+            None => self.db.try_insert(collection, doc),
+        }
+    }
+
+    /// Drop a window chunk that slid out of its signal's window.
+    pub fn delete_serve_chunk(&self, id: u64) -> Result<()> {
+        self.db.try_delete(collections::SERVE_CHUNKS, id)
+    }
+
+    /// Every persisted window chunk of a tenant, `_id` order.
+    pub fn serve_chunks(&self, tenant: &str) -> Vec<Doc> {
+        self.db.find(collections::SERVE_CHUNKS, &Filter::eq("tenant", tenant))
+    }
+
+    /// Record a committed serving-tier anomaly event (WAL failures
+    /// surface).
     #[allow(clippy::too_many_arguments)]
     pub fn add_serve_event(
         &self,
@@ -351,8 +399,8 @@ impl SintelDb {
         stop: i64,
         severity: f64,
         pass: u64,
-    ) -> u64 {
-        self.db.insert(
+    ) -> Result<u64> {
+        self.db.try_insert(
             collections::SERVE_EVENTS,
             Doc::obj()
                 .with("tenant", tenant)
@@ -373,8 +421,9 @@ impl SintelDb {
 
     /// Record one per-tick wide event (the caller builds the document;
     /// the engine's `TickWideEvent::to_doc` is the canonical shape).
-    pub fn add_serve_tick(&self, doc: Doc) -> u64 {
-        self.db.insert(collections::SERVE_TICKS, doc)
+    /// WAL failures surface.
+    pub fn add_serve_tick(&self, doc: Doc) -> Result<u64> {
+        self.db.try_insert(collections::SERVE_TICKS, doc)
     }
 
     /// All persisted wide events, insertion order (= tick order, since
@@ -541,9 +590,9 @@ mod tests {
         // Only one checkpoint per tenant, not one per upsert.
         assert_eq!(db.raw().count(collections::SERVE_SESSIONS, &Filter::All), 1);
 
-        db.add_serve_event("acme", "cpu", 0, 100, 120, 4.5, 2);
-        db.add_serve_event("acme", "cpu", 1, 300, 310, 2.0, 4);
-        db.add_serve_event("other", "mem", 0, 5, 6, 1.0, 1);
+        db.add_serve_event("acme", "cpu", 0, 100, 120, 4.5, 2).unwrap();
+        db.add_serve_event("acme", "cpu", 1, 300, 310, 2.0, 4).unwrap();
+        db.add_serve_event("other", "mem", 0, 5, 6, 1.0, 1).unwrap();
         let events = db.serve_events_for_tenant("acme");
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].get("seq").unwrap().as_i64(), Some(0));
@@ -556,8 +605,8 @@ mod tests {
     fn serve_ticks_round_trip() {
         let db = SintelDb::in_memory();
         assert!(db.serve_ticks().is_empty());
-        db.add_serve_tick(Doc::obj().with("tick", 0u64).with("accepted", 5u64));
-        db.add_serve_tick(Doc::obj().with("tick", 1u64).with("accepted", 9u64));
+        db.add_serve_tick(Doc::obj().with("tick", 0u64).with("accepted", 5u64)).unwrap();
+        db.add_serve_tick(Doc::obj().with("tick", 1u64).with("accepted", 9u64)).unwrap();
         let ticks = db.serve_ticks();
         assert_eq!(ticks.len(), 2);
         assert_eq!(ticks[0].get("tick").unwrap().as_i64(), Some(0));

@@ -143,33 +143,33 @@ pub fn decode_batch(payload: &str) -> Result<Vec<WalOp>> {
     };
     let mut ops = Vec::with_capacity(items.len());
     for item in items {
-        let kind = item
-            .get("op")
-            .and_then(Doc::as_str)
-            .ok_or_else(|| StoreError::Schema("wal op lacks 'op'".into()))?;
-        let collection = item
+        let Doc::Obj(mut fields) = item else {
+            return Err(StoreError::Schema("wal op is not an object".into()));
+        };
+        let is_put = match fields.get("op").and_then(Doc::as_str) {
+            Some("put") => true,
+            Some("del") => false,
+            Some(other) => return Err(StoreError::Schema(format!("unknown wal op '{other}'"))),
+            None => return Err(StoreError::Schema("wal op lacks 'op'".into())),
+        };
+        let collection = fields
             .get("c")
             .and_then(Doc::as_str)
             .ok_or_else(|| StoreError::Schema("wal op lacks 'c'".into()))?
             .to_string();
-        let id = item
+        let id = fields
             .get("id")
             .and_then(Doc::as_i64)
             .filter(|id| *id >= 0)
             .ok_or_else(|| StoreError::Schema("wal op lacks a valid 'id'".into()))?
             as u64;
-        match kind {
-            "put" => {
-                let doc = item
-                    .get("doc")
-                    .cloned()
-                    .ok_or_else(|| StoreError::Schema("wal put lacks 'doc'".into()))?;
-                ops.push(WalOp::Put { collection, id, doc });
-            }
-            "del" => ops.push(WalOp::Delete { collection, id }),
-            other => {
-                return Err(StoreError::Schema(format!("unknown wal op '{other}'")));
-            }
+        if is_put {
+            let doc = fields
+                .remove("doc")
+                .ok_or_else(|| StoreError::Schema("wal put lacks 'doc'".into()))?;
+            ops.push(WalOp::Put { collection, id, doc });
+        } else {
+            ops.push(WalOp::Delete { collection, id });
         }
     }
     Ok(ops)

@@ -9,14 +9,36 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# The root manifest's default-members cover every crate, so plain
+# `cargo test -q` is the whole workspace. The gate also fails if the
+# number of passing tests drops below this floor: a suite must never
+# shrink quietly.
+TEST_FLOOR=736
+
+# Run `cargo test -q` with the given environment, echo its output and
+# fail unless at least TEST_FLOOR tests passed.
+run_tests() {
+    local log
+    log=$(mktemp)
+    env "$@" cargo test -q 2>&1 | tee "$log"
+    local passed
+    passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$log")
+    rm -f "$log"
+    if [ "$passed" -lt "$TEST_FLOOR" ]; then
+        echo "verify: only $passed tests passed, below the floor of $TEST_FLOOR" >&2
+        exit 1
+    fi
+    echo "==> $passed tests passed (floor $TEST_FLOOR)"
+}
+
 echo "==> cargo test -q (SINTEL_THREADS=1, serial paths)"
-SINTEL_THREADS=1 cargo test -q
+run_tests SINTEL_THREADS=1
 
 # The determinism contract (DESIGN.md §4e): the same suite must pass —
 # with bitwise-identical scores asserted inside the tests — on the
 # parallel paths.
 echo "==> cargo test -q (SINTEL_THREADS=4, parallel paths)"
-SINTEL_THREADS=4 cargo test -q
+run_tests SINTEL_THREADS=4
 
 # Crash-recovery contract (DESIGN.md §4f): every injected crash point
 # and every torn-tail byte offset must recover without a panic. The
