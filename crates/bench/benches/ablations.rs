@@ -84,14 +84,16 @@ fn store_index_ablation(c: &mut Criterion) {
                 raw.insert(
                     "events_unindexed",
                     Doc::obj().with("signal", format!("S-{}", i % 100)).with("n", i as i64),
-                );
+                )
+                .expect("in-memory insert");
             }
         } else {
             for i in 0..5_000 {
                 raw.insert(
                     sintel_store::schema::collections::EVENTS,
                     Doc::obj().with("signal", format!("S-{}", i % 100)).with("n", i as i64),
-                );
+                )
+                .expect("in-memory insert");
             }
         }
         db

@@ -15,7 +15,7 @@ use sintel_store::SintelDb;
 fn main() {
     let db = SintelDb::in_memory();
     let cfg = StudyConfig::default();
-    let outcome = run_study(&cfg, &db);
+    let outcome = run_study(&cfg, &db).expect("study run");
 
     println!(
         "Figure 8b: collected tags ({} signals, {} experts, {} events)\n",

@@ -48,7 +48,7 @@ fn bench_appends(dir: &Path, durability: Durability, n: usize) -> f64 {
     let db = Database::open_with(dir, opts(durability)).expect("open store");
     let start = Instant::now();
     for i in 0..n {
-        db.insert("events", doc(i));
+        db.insert("events", doc(i)).expect("append");
     }
     ops_per_sec(n, start.elapsed())
 }
@@ -59,7 +59,7 @@ fn bench_batched(dir: &Path, n: usize) -> f64 {
     let start = Instant::now();
     let scope = db.batch();
     for i in 0..n {
-        db.insert("events", doc(i));
+        db.insert("events", doc(i)).expect("append");
     }
     scope.commit().expect("batch commit");
     ops_per_sec(n, start.elapsed())
@@ -95,7 +95,7 @@ fn main() {
     {
         let db = Database::open_with(&replay_dir, opts(Durability::Wal)).expect("open store");
         for i in 0..n {
-            db.insert("events", doc(i));
+            db.insert("events", doc(i)).expect("append");
         }
     }
     let start = Instant::now();

@@ -119,9 +119,10 @@ impl RestApi {
                 Response::Ok(Doc::Arr(docs))
             }
             Method::Post => match &request.body {
-                Some(body @ Doc::Obj(_)) => {
-                    Response::Created(self.db.raw().insert(resource, body.clone()))
-                }
+                Some(body @ Doc::Obj(_)) => match self.db.raw().insert(resource, body.clone()) {
+                    Ok(id) => Response::Created(id),
+                    Err(e) => Response::Error(e.to_string()),
+                },
                 _ => Response::Error("POST requires an object body".into()),
             },
             _ => Response::Error("method not allowed on collection".into()),
@@ -160,8 +161,8 @@ mod tests {
 
     fn api_with_event() -> (RestApi, u64) {
         let db = SintelDb::in_memory();
-        let run = db.add_signalrun(1, "S-1", "done");
-        let ev = db.add_event(run, "S-1", 100, 200, 0.7);
+        let run = db.add_signalrun(1, "S-1", "done").unwrap();
+        let ev = db.add_event(run, "S-1", 100, 200, 0.7).unwrap();
         (RestApi::new(db), ev)
     }
 

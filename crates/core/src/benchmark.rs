@@ -192,9 +192,9 @@ fn export_health_gauges(rows: &[BenchmarkRow], db: Option<&SintelDb>) {
 /// Persist the global metrics registry's snapshot into the knowledge
 /// base (`metrics_snapshots` collection) under a run label, in both
 /// exporter formats. Returns the stored document id.
-pub fn persist_metrics_snapshot(db: &SintelDb, run: &str) -> u64 {
+pub fn persist_metrics_snapshot(db: &SintelDb, run: &str) -> Result<u64> {
     let snapshot = sintel_obs::global().snapshot();
-    db.add_metrics_snapshot(run, &snapshot.to_prometheus(), &snapshot.to_json())
+    Ok(db.add_metrics_snapshot(run, &snapshot.to_prometheus(), &snapshot.to_json())?)
 }
 
 /// Run the benchmark: every pipeline against every dataset
@@ -299,7 +299,7 @@ pub fn benchmark_report_with_db(
                     diag.severity.label(),
                     &diag.primitive,
                     &diag.message,
-                );
+                )?;
             }
         }
     }
@@ -524,7 +524,7 @@ pub fn benchmark_report_with_db(
                             failure.kind.label(),
                             &failure.message,
                             attempts as usize,
-                        );
+                        )?;
                         let strikes = db.failure_strikes(&pipeline_name, &signal_name);
                         if strikes >= QUARANTINE_STRIKES
                             && !db.is_quarantined(&pipeline_name, &signal_name)
@@ -545,7 +545,7 @@ pub fn benchmark_report_with_db(
                                 &pipeline_name,
                                 &signal_name,
                                 &failure.to_string(),
-                            );
+                            )?;
                         }
                     }
                 }
@@ -576,15 +576,10 @@ pub fn benchmark_report_with_db(
     });
     export_health_gauges(&rows, db);
     if let Some(db) = db {
-        persist_metrics_snapshot(db, "benchmark");
+        persist_metrics_snapshot(db, "benchmark")?;
     }
     if let Some(scope) = store_batch {
-        if let Err(e) = scope.commit() {
-            sintel_obs::warn!(
-                TARGET,
-                format!("benchmark knowledge-base batch did not reach the log: {e}"),
-            );
-        }
+        scope.commit()?;
     }
     let cpu_time = rows.iter().map(|r| r.train_time + r.detect_time).sum();
     Ok(BenchmarkReport {
@@ -597,15 +592,15 @@ pub fn benchmark_report_with_db(
 
 /// Persist benchmark rows into the knowledge base as experiments.
 /// Committed as one WAL batch: either every row's experiment+result
-/// pair lands, or none do.
-pub fn persist_benchmark(db: &SintelDb, rows: &[BenchmarkRow]) {
+/// pair lands, or none do, and a failed commit is returned.
+pub fn persist_benchmark(db: &SintelDb, rows: &[BenchmarkRow]) -> Result<()> {
     let scope = db.batch();
     for row in rows {
         let exp = db.add_experiment(
             &format!("benchmark/{}/{}", row.dataset, row.pipeline),
             &row.dataset,
             &row.pipeline,
-        );
+        )?;
         let doc = Doc::obj()
             .with("experiment_id", exp)
             .with("f1", row.mean.f1)
@@ -625,14 +620,9 @@ pub fn persist_benchmark(db: &SintelDb, rows: &[BenchmarkRow]) {
             .with("train_seconds", row.train_time.as_secs_f64())
             .with("detect_seconds", row.detect_time.as_secs_f64())
             .with("peak_memory_bytes", row.peak_memory);
-        db.raw().insert("benchmark_results", doc);
+        db.raw().insert("benchmark_results", doc)?;
     }
-    if let Err(e) = scope.commit() {
-        sintel_obs::warn!(
-            TARGET,
-            format!("benchmark results batch did not reach the log: {e}"),
-        );
-    }
+    Ok(scope.commit()?)
 }
 
 /// Render rows as a Table 3-style text table (mean ± std per dataset).
@@ -748,7 +738,7 @@ mod tests {
     fn persist_benchmark_writes_results() {
         let rows = benchmark(&tiny_config()).unwrap();
         let db = SintelDb::in_memory();
-        persist_benchmark(&db, &rows);
+        persist_benchmark(&db, &rows).unwrap();
         use sintel_store::Filter;
         assert_eq!(db.raw().count("benchmark_results", &Filter::All), rows.len());
         assert_eq!(

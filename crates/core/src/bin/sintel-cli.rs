@@ -489,7 +489,8 @@ fn cmd_benchmark(opts: &HashMap<String, String>) -> Result<(), String> {
     println!();
     print!("{}", render_perf_table(&report));
     if let Some(db) = &db {
-        persist_benchmark(db, &report.rows);
+        persist_benchmark(db, &report.rows)
+            .map_err(|e| format!("persisting benchmark results: {e}"))?;
         db.save().map_err(|e| format!("saving knowledge base: {e}"))?;
         let raw = db.raw();
         eprintln!(

@@ -141,7 +141,8 @@ impl Sintel {
     }
 
     /// Detect anomalies (`sintel.detect(new_data)`), persisting events to
-    /// the knowledge base when attached.
+    /// the knowledge base when attached; a failed store write is
+    /// returned as [`SintelError::Store`].
     ///
     /// Guarded by the watchdog: a panicking or hanging detection
     /// returns an error instead of taking the caller down. After such a
@@ -181,9 +182,9 @@ impl Sintel {
         };
         if let Some(db) = &self.db {
             self.signalrun_counter += 1;
-            let run = db.add_signalrun(self.signalrun_counter, data.name(), "done");
+            let run = db.add_signalrun(self.signalrun_counter, data.name(), "done")?;
             for a in &anomalies {
-                db.add_event(run, data.name(), a.interval.start, a.interval.end, a.score);
+                db.add_event(run, data.name(), a.interval.start, a.interval.end, a.score)?;
             }
         }
         Ok(anomalies)

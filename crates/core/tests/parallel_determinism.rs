@@ -54,7 +54,7 @@ fn sweep_at(threads: usize, dir: &PathBuf) -> (String, Vec<(String, String)>) {
     let db = SintelDb::open(dir).expect("open store");
     let report = benchmark_report_with_db(&sweep_config(), Some(&db)).expect("sweep runs");
     assert_eq!(report.threads, threads);
-    persist_benchmark(&db, &report.rows);
+    persist_benchmark(&db, &report.rows).expect("persist results");
     db.save().expect("persist store");
     (render_table(&report.rows), store_files(dir))
 }

@@ -3,7 +3,7 @@
 use sintel_store::{Doc, SintelDb};
 use sintel_timeseries::Interval;
 
-use crate::{HilError, Result};
+use crate::Result;
 
 /// Review status of a detected (or expert-created) event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,48 +104,39 @@ pub fn apply_action(
     user_id: u64,
     action: &AnnotationAction,
 ) -> Result<()> {
-    let store_err = |e: sintel_store::StoreError| HilError::Store(e.to_string());
     match action {
         AnnotationAction::Confirm => {
             event.status = EventStatus::Confirmed;
-            db.set_event_status(event.id, event.status.as_str()).map_err(store_err)?;
+            db.set_event_status(event.id, event.status.as_str())?;
         }
         AnnotationAction::Remove => {
             event.status = EventStatus::Rejected;
-            db.set_event_status(event.id, event.status.as_str()).map_err(store_err)?;
+            db.set_event_status(event.id, event.status.as_str())?;
         }
         AnnotationAction::Modify(new_interval) => {
             event.interval = *new_interval;
             event.status = EventStatus::Modified;
-            db.raw()
-                .patch(
-                    sintel_store::schema::collections::EVENTS,
-                    event.id,
-                    &[
-                        ("start_time", Doc::from(new_interval.start)),
-                        ("stop_time", Doc::from(new_interval.end)),
-                        ("status", Doc::from(event.status.as_str())),
-                    ],
-                )
-                .map_err(store_err)?;
+            db.raw().patch(
+                sintel_store::schema::collections::EVENTS,
+                event.id,
+                &[
+                    ("start_time", Doc::from(new_interval.start)),
+                    ("stop_time", Doc::from(new_interval.end)),
+                    ("status", Doc::from(event.status.as_str())),
+                ],
+            )?;
         }
         AnnotationAction::Create(_) => {
             event.status = EventStatus::Created;
-            db.set_event_status(event.id, event.status.as_str()).map_err(store_err)?;
+            db.set_event_status(event.id, event.status.as_str())?;
         }
         AnnotationAction::Tag(_) | AnnotationAction::Comment(_) => {}
     }
     match action {
-        AnnotationAction::Comment(text) => {
-            db.add_comment(event.id, user_id, text);
-        }
-        AnnotationAction::Tag(tag) => {
-            db.add_annotation(event.id, user_id, action.name(), tag);
-        }
-        other => {
-            db.add_annotation(event.id, user_id, other.name(), "");
-        }
-    }
+        AnnotationAction::Comment(text) => db.add_comment(event.id, user_id, text)?,
+        AnnotationAction::Tag(tag) => db.add_annotation(event.id, user_id, action.name(), tag)?,
+        other => db.add_annotation(event.id, user_id, other.name(), "")?,
+    };
     Ok(())
 }
 
@@ -156,9 +147,15 @@ pub fn persist_detected(
     signal: &str,
     interval: Interval,
     severity: f64,
-) -> Event {
-    let id = db.add_event(signalrun_id, signal, interval.start, interval.end, severity);
-    Event { id, signal: signal.to_string(), interval, severity, status: EventStatus::Unreviewed }
+) -> Result<Event> {
+    let id = db.add_event(signalrun_id, signal, interval.start, interval.end, severity)?;
+    Ok(Event {
+        id,
+        signal: signal.to_string(),
+        interval,
+        severity,
+        status: EventStatus::Unreviewed,
+    })
 }
 
 #[cfg(test)]
@@ -183,10 +180,10 @@ mod tests {
     #[test]
     fn actions_persist_to_knowledge_base() {
         let db = SintelDb::in_memory();
-        let user = db.add_user("bob", "engineer");
-        let run = db.add_signalrun(1, "S-1", "done");
+        let user = db.add_user("bob", "engineer").unwrap();
+        let run = db.add_signalrun(1, "S-1", "done").unwrap();
         let mut event =
-            persist_detected(&db, run, "S-1", Interval::new(100, 200).unwrap(), 0.8);
+            persist_detected(&db, run, "S-1", Interval::new(100, 200).unwrap(), 0.8).unwrap();
         assert_eq!(event.status, EventStatus::Unreviewed);
 
         apply_action(&db, &mut event, user, &AnnotationAction::Confirm).unwrap();
@@ -218,8 +215,9 @@ mod tests {
     #[test]
     fn remove_marks_rejected() {
         let db = SintelDb::in_memory();
-        let user = db.add_user("eve", "engineer");
-        let mut event = persist_detected(&db, 1, "S-1", Interval::new(0, 5).unwrap(), 0.1);
+        let user = db.add_user("eve", "engineer").unwrap();
+        let mut event =
+            persist_detected(&db, 1, "S-1", Interval::new(0, 5).unwrap(), 0.1).unwrap();
         apply_action(&db, &mut event, user, &AnnotationAction::Remove).unwrap();
         assert_eq!(event.status, EventStatus::Rejected);
     }

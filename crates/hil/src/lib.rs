@@ -62,5 +62,11 @@ impl std::fmt::Display for HilError {
 
 impl std::error::Error for HilError {}
 
+impl From<sintel_store::StoreError> for HilError {
+    fn from(e: sintel_store::StoreError) -> Self {
+        HilError::Store(e.to_string())
+    }
+}
+
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, HilError>;

@@ -19,6 +19,7 @@ use sintel_store::SintelDb;
 use sintel_timeseries::Interval;
 
 use crate::event::EventStatus;
+use crate::Result;
 
 /// Tag taxonomy of the study (Figure 8b rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,22 +113,21 @@ enum EventNature {
 }
 
 /// Run the simulated study, persisting everything to `db`.
-pub fn run_study(cfg: &StudyConfig, db: &SintelDb) -> StudyOutcome {
+pub fn run_study(cfg: &StudyConfig, db: &SintelDb) -> Result<StudyOutcome> {
     let mut rng = SintelRng::seed_from_u64(cfg.seed);
 
     // Register the cast.
     let expert_ids: Vec<u64> = (0..cfg.experts)
         .map(|i| db.add_user(&format!("expert-{i}"), "senior satellite engineer"))
-        .collect();
-    db.add_dataset("SATOPS", "satellite telemetry");
+        .collect::<std::result::Result<_, _>>()?;
+    db.add_dataset("SATOPS", "satellite telemetry")?;
     let signal_names: Vec<String> = (0..cfg.signals)
         .map(|i| {
             let name = format!("SATOPS/CH-{i:02}");
-            db.add_signal(&name, "SATOPS", 0, 5 * 365 * 86_400);
-            name
+            db.add_signal(&name, "SATOPS", 0, 5 * 365 * 86_400).map(|_| name)
         })
-        .collect();
-    let exp = db.add_experiment("satellite-study", "SATOPS", "lstm_dynamic_threshold");
+        .collect::<std::result::Result<_, _>>()?;
+    let exp = db.add_experiment("satellite-study", "SATOPS", "lstm_dynamic_threshold")?;
 
     // Build the event population. Detection characteristics mirror the
     // paper's observations: the ML surfaces true anomalies *and* odd-
@@ -138,7 +138,7 @@ pub fn run_study(cfg: &StudyConfig, db: &SintelDb) -> StudyOutcome {
 
     for k in 0..cfg.events {
         let signal = &signal_names[rng.index(signal_names.len())];
-        let run = db.add_signalrun(exp, signal, "done");
+        let run = db.add_signalrun(exp, signal, "done")?;
         let start = rng.int_range(0, 5 * 365 * 86_400 - 7_200);
         let interval = Interval::new(start, start + rng.int_range(600, 7_200))
             .expect("positive duration");
@@ -201,24 +201,24 @@ pub fn run_study(cfg: &StudyConfig, db: &SintelDb) -> StudyOutcome {
         };
 
         // Persist: event, annotation, and the occasional discussion.
-        let event_id = db.add_event(run, signal, interval.start, interval.end, rng.uniform());
+        let event_id = db.add_event(run, signal, interval.start, interval.end, rng.uniform())?;
         let status = match tag {
             StudyTag::Normal => EventStatus::Rejected,
             StudyTag::ConfirmedAnomaly => EventStatus::Confirmed,
             StudyTag::NewEvent => EventStatus::Created,
             StudyTag::FurtherInvestigation => EventStatus::Investigate,
         };
-        db.set_event_status(event_id, status.as_str()).expect("event exists");
+        db.set_event_status(event_id, status.as_str())?;
         let tag_name = match tag {
             StudyTag::Normal => "normal",
             StudyTag::ConfirmedAnomaly => "anomaly",
             StudyTag::NewEvent => "new event",
             StudyTag::FurtherInvestigation => "investigate",
         };
-        db.add_annotation(event_id, reviewer, "tag", tag_name);
+        db.add_annotation(event_id, reviewer, "tag", tag_name)?;
         if rng.chance(0.3) {
             let second = expert_ids[rng.index(expert_ids.len())];
-            db.add_comment(event_id, second, "discussed in weekly ops review");
+            db.add_comment(event_id, second, "discussed in weekly ops review")?;
         }
         let _ = k;
 
@@ -231,7 +231,12 @@ pub fn run_study(cfg: &StudyConfig, db: &SintelDb) -> StudyOutcome {
         }
     }
 
-    StudyOutcome { ml_presented: presented, ml_missed: missed, signals: cfg.signals, experts: cfg.experts }
+    Ok(StudyOutcome {
+        ml_presented: presented,
+        ml_missed: missed,
+        signals: cfg.signals,
+        experts: cfg.experts,
+    })
 }
 
 #[cfg(test)]
@@ -241,7 +246,7 @@ mod tests {
     #[test]
     fn study_shape_matches_paper() {
         let db = SintelDb::in_memory();
-        let outcome = run_study(&StudyConfig::default(), &db);
+        let outcome = run_study(&StudyConfig::default(), &db).unwrap();
         assert_eq!(outcome.total_events(), 110);
         assert_eq!(outcome.signals, 16);
         assert_eq!(outcome.experts, 6);
@@ -261,7 +266,7 @@ mod tests {
     #[test]
     fn study_persists_to_knowledge_base() {
         let db = SintelDb::in_memory();
-        let outcome = run_study(&StudyConfig { events: 40, ..Default::default() }, &db);
+        let outcome = run_study(&StudyConfig { events: 40, ..Default::default() }, &db).unwrap();
         use sintel_store::{schema::collections, Filter};
         assert_eq!(db.raw().count(collections::EVENTS, &Filter::All), 40);
         assert_eq!(db.raw().count(collections::ANNOTATIONS, &Filter::All), 40);
@@ -274,8 +279,8 @@ mod tests {
 
     #[test]
     fn study_is_deterministic() {
-        let a = run_study(&StudyConfig::default(), &SintelDb::in_memory());
-        let b = run_study(&StudyConfig::default(), &SintelDb::in_memory());
+        let a = run_study(&StudyConfig::default(), &SintelDb::in_memory()).unwrap();
+        let b = run_study(&StudyConfig::default(), &SintelDb::in_memory()).unwrap();
         assert_eq!(a.ml_presented, b.ml_presented);
         assert_eq!(a.ml_missed, b.ml_missed);
     }

@@ -356,8 +356,15 @@ impl Drop for SpanGuard {
 
 // ---- JSONL parsing (for replay and round-trip tests) -----------------
 
+/// Deepest object nesting [`parse_jsonl`] accepts in one line. The
+/// parser recurses once per level, so unbounded nesting would overflow
+/// the stack; trace events nest two levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON-lines trace produced by [`export_jsonl`]. Blank lines
-/// are skipped; any malformed line is an error naming its line number.
+/// are skipped; any malformed line, including one nesting objects more
+/// than `MAX_DEPTH` (128) levels deep, is an error naming its line
+/// number.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -413,9 +420,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
+    /// Parse one value inside `depth` enclosing objects.
+    fn parse_value(&mut self, depth: usize) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
+            Some(b'{') if depth == MAX_DEPTH => Err("nesting too deep".to_string()),
+            Some(b'{') => self.parse_object(depth + 1),
             Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
             Some(b'n') => self.parse_keyword("null", JsonValue::Null),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
@@ -513,7 +522,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue, String> {
+    fn parse_object(&mut self, depth: usize) -> Result<JsonValue, String> {
         self.expect(b'{')?;
         let mut entries = Vec::new();
         if self.peek() == Some(b'}') {
@@ -523,7 +532,7 @@ impl<'a> Parser<'a> {
         loop {
             let key = self.parse_string()?;
             self.expect(b':')?;
-            let value = self.parse_value()?;
+            let value = self.parse_value(depth)?;
             entries.push((key, value));
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -539,7 +548,7 @@ impl<'a> Parser<'a> {
 
 fn parse_event(line: &str) -> Result<TraceEvent, String> {
     let mut parser = Parser::new(line);
-    let JsonValue::Obj(entries) = parser.parse_value()? else {
+    let JsonValue::Obj(entries) = parser.parse_value(0)? else {
         return Err("trace line is not a JSON object".to_string());
     };
     let get = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
@@ -682,6 +691,20 @@ mod tests {
         assert!(err.contains("line"), "{err}");
         assert!(parse_jsonl("").unwrap().is_empty());
         assert!(parse_jsonl("\n\n").unwrap().is_empty());
+    }
+
+    #[test]
+    fn parse_nesting_depth_is_bounded() {
+        let nested = |n: usize| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        // Depth MAX_DEPTH parses; the line is rejected later for lacking
+        // an event kind, not for its nesting.
+        let err = parse_jsonl(&nested(MAX_DEPTH)).unwrap_err();
+        assert!(err.contains("bad event kind"), "{err}");
+        let err = parse_jsonl(&format!("\n{}", nested(MAX_DEPTH + 1))).unwrap_err();
+        assert_eq!(err, "line 2: nesting too deep");
+        // Deep enough to overflow the stack without the bound.
+        let err = parse_jsonl(&"{\"a\":".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err, "line 1: nesting too deep");
     }
 
     #[test]

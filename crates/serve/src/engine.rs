@@ -267,7 +267,7 @@ impl ServeEngine {
             ),
             None => {
                 let init = Doc::obj().with("kind", "engine").with("ticks", 0u64);
-                (db.raw().try_insert(collections::SERVE_META, init)?, 0)
+                (db.raw().insert(collections::SERVE_META, init)?, 0)
             }
         };
         let mut tenants = BTreeMap::new();
@@ -581,7 +581,7 @@ impl ServeEngine {
         self.db.add_serve_tick(wide.to_doc())?;
 
         let meta = Doc::obj().with("kind", "engine").with("ticks", self.ticks);
-        self.db.raw().try_update(collections::SERVE_META, self.meta_id, meta)?;
+        self.db.raw().update(collections::SERVE_META, self.meta_id, meta)?;
         let commit_start = Instant::now();
         let committed = scope.commit();
         self.last_checkpoint_seconds = commit_start.elapsed().as_secs_f64();

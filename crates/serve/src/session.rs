@@ -854,7 +854,7 @@ mod tests {
             .with("timestamps", Doc::from((0..40i64).collect::<Vec<_>>()))
             .with("values", Doc::from(vec![0.0; 40]))];
         inline.set("signals", Doc::Arr(signals));
-        db.raw().try_insert(collections::SERVE_SESSIONS, inline).expect("insert");
+        db.raw().insert(collections::SERVE_SESSIONS, inline).expect("insert");
         let refused = TenantSession::recover(&db, "old");
         assert!(
             matches!(&refused, Err(ServeError::Checkpoint(why)) if why.contains("earlier store layout")),

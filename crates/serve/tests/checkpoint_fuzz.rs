@@ -72,7 +72,7 @@ fn recover_from(docs: &[Doc]) -> Result<TenantSession, ServeError> {
     for (i, doc) in docs.iter().enumerate() {
         let collection =
             if i == 0 { collections::SERVE_SESSIONS } else { collections::SERVE_CHUNKS };
-        db.raw().try_insert(collection, doc.clone()).expect("insert");
+        db.raw().insert(collection, doc.clone()).expect("insert");
     }
     TenantSession::recover(&db, TENANT).map(|(session, _)| session)
 }

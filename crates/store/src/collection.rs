@@ -7,21 +7,14 @@ use crate::json::to_json;
 use crate::query::Filter;
 use crate::{Result, StoreError};
 
-/// A collection of documents. Every inserted document receives a
-/// monotonically increasing `_id`. Optional secondary indexes accelerate
+/// A collection of documents keyed by `_id`. Ids are allocated by the
+/// owning [`crate::Database`]; optional secondary indexes accelerate
 /// equality filters on a field.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Collection {
     docs: BTreeMap<u64, Doc>,
-    next_id: u64,
     /// field -> (serialised key -> ids)
     indexes: HashMap<String, HashMap<String, Vec<u64>>>,
-}
-
-impl Default for Collection {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 fn index_key(value: &Doc) -> String {
@@ -31,7 +24,7 @@ fn index_key(value: &Doc) -> String {
 impl Collection {
     /// Empty collection.
     pub fn new() -> Self {
-        Self { docs: BTreeMap::new(), next_id: 1, indexes: HashMap::new() }
+        Self::default()
     }
 
     /// Number of documents.
@@ -44,32 +37,23 @@ impl Collection {
         self.docs.is_empty()
     }
 
-    /// Insert a document; stamps and returns its `_id`.
-    pub fn insert(&mut self, mut doc: Doc) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        doc.set("_id", id);
-        self.index_doc(id, &doc);
-        self.docs.insert(id, doc);
-        id
-    }
-
     /// Fetch by id.
     pub fn get(&self, id: u64) -> Option<&Doc> {
         self.docs.get(&id)
     }
 
-    /// Replace a document (keeps its `_id`).
-    pub fn update(&mut self, id: u64, mut doc: Doc) -> Result<()> {
-        if !self.docs.contains_key(&id) {
-            return Err(StoreError::NotFound(id));
+    /// Insert or replace the document stored under `id`, stamping its
+    /// `_id`. A replaced document's index entries are removed before the
+    /// new one is indexed.
+    pub fn put(&mut self, id: u64, mut doc: Doc) {
+        if doc.get("_id").and_then(Doc::as_i64) != Some(id as i64) {
+            doc.set("_id", id);
         }
-        let old = self.docs.remove(&id).expect("checked above");
-        self.unindex_doc(id, &old);
-        doc.set("_id", id);
+        if let Some(old) = self.docs.remove(&id) {
+            self.unindex_doc(id, &old);
+        }
         self.index_doc(id, &doc);
         self.docs.insert(id, doc);
-        Ok(())
     }
 
     /// Merge fields into an existing document.
@@ -78,7 +62,8 @@ impl Collection {
         for (k, v) in fields {
             doc.set(k, v.clone());
         }
-        self.update(id, doc)
+        self.put(id, doc);
+        Ok(())
     }
 
     /// Delete by id.
@@ -160,13 +145,6 @@ impl Collection {
     pub fn iter(&self) -> impl Iterator<Item = (&u64, &Doc)> {
         self.docs.iter()
     }
-
-    /// Restore a document with a known id (used when loading from disk).
-    pub(crate) fn restore(&mut self, id: u64, doc: Doc) {
-        self.next_id = self.next_id.max(id + 1);
-        self.index_doc(id, &doc);
-        self.docs.insert(id, doc);
-    }
 }
 
 #[cfg(test)]
@@ -177,38 +155,49 @@ mod tests {
         Doc::obj().with("signal", signal).with("score", score)
     }
 
-    #[test]
-    fn insert_assigns_sequential_ids() {
+    /// A collection holding `docs` under ids `1..=docs.len()`.
+    fn filled(docs: impl IntoIterator<Item = Doc>) -> Collection {
         let mut c = Collection::new();
-        let a = c.insert(event("S-1", 0.5));
-        let b = c.insert(event("S-2", 0.9));
-        assert_eq!((a, b), (1, 2));
+        for (id, doc) in (1..).zip(docs) {
+            c.put(id, doc);
+        }
+        c
+    }
+
+    #[test]
+    fn put_stores_and_replaces_by_id() {
+        let mut c = Collection::new();
+        c.put(1, event("S-1", 0.5));
+        c.put(2, event("S-2", 0.9));
         assert_eq!(c.get(1).unwrap().get("signal").unwrap().as_str(), Some("S-1"));
         assert_eq!(c.get(1).unwrap().get("_id").unwrap().as_i64(), Some(1));
+        assert_eq!(c.len(), 2);
+        // A mismatched `_id` is overwritten with the key it is stored under.
+        c.put(2, event("S-3", 0.1).with("_id", 7i64));
+        assert_eq!(c.get(2).unwrap().get("_id").unwrap().as_i64(), Some(2));
+        assert_eq!(c.get(2).unwrap().get("signal").unwrap().as_str(), Some("S-3"));
         assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn update_patch_delete() {
-        let mut c = Collection::new();
-        let id = c.insert(event("S-1", 0.5));
-        c.patch(id, &[("score", Doc::F64(0.7))]).unwrap();
-        assert_eq!(c.get(id).unwrap().get("score").unwrap().as_f64(), Some(0.7));
-        assert_eq!(c.get(id).unwrap().get("signal").unwrap().as_str(), Some("S-1"));
-        c.update(id, event("S-9", 1.0)).unwrap();
-        assert_eq!(c.get(id).unwrap().get("signal").unwrap().as_str(), Some("S-9"));
-        c.delete(id).unwrap();
-        assert!(c.get(id).is_none());
-        assert_eq!(c.delete(id).unwrap_err(), StoreError::NotFound(id));
-        assert_eq!(c.update(id, event("x", 0.0)).unwrap_err(), StoreError::NotFound(id));
+        let mut c = filled([event("S-1", 0.5)]);
+        c.patch(1, &[("score", Doc::F64(0.7)), ("_id", Doc::I64(9))]).unwrap();
+        assert_eq!(c.get(1).unwrap().get("score").unwrap().as_f64(), Some(0.7));
+        assert_eq!(c.get(1).unwrap().get("signal").unwrap().as_str(), Some("S-1"));
+        assert_eq!(c.get(1).unwrap().get("_id").unwrap().as_i64(), Some(1));
+        c.put(1, event("S-9", 1.0));
+        assert_eq!(c.get(1).unwrap().get("signal").unwrap().as_str(), Some("S-9"));
+        c.delete(1).unwrap();
+        assert!(c.get(1).is_none());
+        assert_eq!(c.delete(1).unwrap_err(), StoreError::NotFound(1));
+        assert_eq!(c.patch(1, &[]).unwrap_err(), StoreError::NotFound(1));
     }
 
     #[test]
     fn find_with_filters() {
-        let mut c = Collection::new();
-        for i in 0..10 {
-            c.insert(event(if i % 2 == 0 { "S-1" } else { "S-2" }, i as f64 / 10.0));
-        }
+        let c =
+            filled((0..10).map(|i| event(if i % 2 == 0 { "S-1" } else { "S-2" }, i as f64 / 10.0)));
         assert_eq!(c.find(&Filter::eq("signal", "S-1")).len(), 5);
         assert_eq!(c.count(&Filter::Gt("score".into(), Doc::F64(0.65))), 3);
         assert_eq!(c.find(&Filter::All).len(), 10);
@@ -217,10 +206,7 @@ mod tests {
 
     #[test]
     fn index_agrees_with_scan() {
-        let mut c = Collection::new();
-        for i in 0..50 {
-            c.insert(event(&format!("S-{}", i % 5), i as f64));
-        }
+        let mut c = filled((0..50).map(|i| event(&format!("S-{}", i % 5), i as f64)));
         let scan = c.find(&Filter::eq("signal", "S-3")).len();
         c.create_index("signal");
         assert!(c.has_index("signal"));
@@ -239,20 +225,30 @@ mod tests {
     fn index_maintained_across_mutations() {
         let mut c = Collection::new();
         c.create_index("signal");
-        let id = c.insert(event("S-1", 0.1));
+        c.put(1, event("S-1", 0.1));
         assert_eq!(c.find(&Filter::eq("signal", "S-1")).len(), 1);
-        c.update(id, event("S-2", 0.2)).unwrap();
+        c.put(1, event("S-2", 0.2));
         assert_eq!(c.find(&Filter::eq("signal", "S-1")).len(), 0);
         assert_eq!(c.find(&Filter::eq("signal", "S-2")).len(), 1);
-        c.delete(id).unwrap();
+        c.delete(1).unwrap();
         assert_eq!(c.find(&Filter::eq("signal", "S-2")).len(), 0);
     }
 
     #[test]
-    fn restore_preserves_id_monotonicity() {
+    fn put_with_unchanged_key_keeps_one_index_entry() {
         let mut c = Collection::new();
-        c.restore(17, event("S-1", 0.0));
-        let next = c.insert(event("S-2", 0.0));
-        assert_eq!(next, 18);
+        c.create_index("signal");
+        c.put(17, event("S-1", 0.0));
+        c.put(17, event("S-1", 0.5));
+        let hits = c.find(&Filter::eq("signal", "S-1"));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].get("score").unwrap().as_f64(), Some(0.5));
+        c.put(3, event("S-1", 0.9));
+        let ids: Vec<i64> = c
+            .find(&Filter::eq("signal", "S-1"))
+            .iter()
+            .map(|d| d.get("_id").unwrap().as_i64().unwrap())
+            .collect();
+        assert_eq!(ids, vec![3, 17]);
     }
 }

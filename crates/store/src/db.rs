@@ -165,14 +165,15 @@ struct PendingBatch {
 /// use sintel_store::{Database, Doc, Filter};
 ///
 /// let db = Database::in_memory();
-/// db.insert("events", Doc::obj().with("signal", "S-1").with("severity", 0.9));
+/// db.insert("events", Doc::obj().with("signal", "S-1").with("severity", 0.9))?;
 /// let hits = db.find("events", &Filter::eq("signal", "S-1"));
 /// assert_eq!(hits.len(), 1);
+/// # Ok::<(), sintel_store::StoreError>(())
 /// ```
 pub struct Database {
     /// `shard -> collection name -> that shard's slice of the collection`.
     shards: [RwLock<HashMap<String, Collection>>; NUM_SHARDS],
-    /// Global per-collection id allocator (`next_id`).
+    /// Global per-collection id allocator: the next id to hand out.
     ids: Mutex<HashMap<String, u64>>,
     /// Index registry: collection -> indexed fields. New shard slices
     /// of a collection inherit these on creation.
@@ -298,7 +299,7 @@ impl Database {
                     // must exist (and persist) after reopen.
                     db.ensure_collection(&name);
                     for (id, doc) in docs {
-                        db.bump_next_id(&name, id);
+                        db.reserve_id(&name, id);
                         db.apply_put(&name, id, doc);
                     }
                 }
@@ -446,7 +447,8 @@ impl Database {
         shard.entry(name.to_string()).or_default();
     }
 
-    fn bump_next_id(&self, collection: &str, id: u64) {
+    /// Make later allocations in `collection` skip past `id`.
+    fn reserve_id(&self, collection: &str, id: u64) {
         let mut ids = self.lock_ids();
         let next = ids.entry(collection.to_string()).or_insert(1);
         *next = (*next).max(id + 1);
@@ -460,9 +462,8 @@ impl Database {
         id
     }
 
-    /// Upsert `doc` (already carrying `_id`) into its shard. Existing
-    /// documents go through `update` so their old index entries are
-    /// removed; fresh ones through `restore`.
+    /// Upsert `doc` into its shard, creating the collection slice (with
+    /// every registered index) on first use.
     fn apply_put(&self, collection: &str, id: u64, doc: Doc) {
         let fields: Vec<String> =
             self.lock_indexed().get(collection).cloned().unwrap_or_default();
@@ -471,17 +472,13 @@ impl Database {
         for field in &fields {
             col.create_index(field);
         }
-        if col.get(id).is_some() {
-            let _ = col.update(id, doc);
-        } else {
-            col.restore(id, doc);
-        }
+        col.put(id, doc);
     }
 
     fn apply_replayed(&self, op: WalOp) {
         match op {
             WalOp::Put { collection, id, doc } => {
-                self.bump_next_id(&collection, id);
+                self.reserve_id(&collection, id);
                 self.apply_put(&collection, id, doc);
             }
             WalOp::Delete { collection, id } => {
@@ -550,34 +547,6 @@ impl Database {
         }
     }
 
-    /// True for errors produced by the WAL append path (as opposed to
-    /// the in-memory mutation, which e.g. yields `NotFound`).
-    fn is_wal_error(e: &StoreError) -> bool {
-        match e {
-            StoreError::Io(_) => true,
-            #[cfg(feature = "faulty")]
-            StoreError::Injected(_) => true,
-            _ => false,
-        }
-    }
-
-    /// Swallow a WAL failure from an infallible legacy signature: the
-    /// mutation stays applied in memory (availability wins) and the
-    /// failure is logged and counted; callers that must know use the
-    /// `try_*` variants.
-    fn swallow_wal_error(op: &'static str, result: Result<()>) -> Result<()> {
-        match result {
-            Err(e) if Self::is_wal_error(&e) => {
-                sintel_obs::warn!(
-                    TARGET,
-                    format!("{op}: write applied in memory but not logged: {e}"),
-                );
-                Ok(())
-            }
-            other => other,
-        }
-    }
-
     /// Open a batch scope: every mutation until the scope commits (or
     /// drops) is buffered and appended as **one** WAL record — one
     /// fsync per batch instead of per write. Scopes nest (inner scopes
@@ -609,58 +578,37 @@ impl Database {
     }
 
     // ---- public mutations --------------------------------------------
+    //
+    // Each write applies to memory, then logs to the WAL or the open
+    // batch scope. A failed append returns `Err` with the write still
+    // applied in memory.
 
-    /// Insert into a collection (created on first use); returns the id.
-    ///
-    /// Infallible legacy signature: a WAL failure leaves the document
-    /// in memory and is logged/counted ([`Database::try_insert`]
-    /// surfaces it instead).
-    pub fn insert(&self, collection: &str, doc: Doc) -> u64 {
-        let (id, logged) = self.insert_inner(collection, doc);
-        let _ = Self::swallow_wal_error("insert", logged);
-        id
-    }
-
-    /// Insert, surfacing WAL append failures; returns the new id.
-    pub fn try_insert(&self, collection: &str, doc: Doc) -> Result<u64> {
-        let (id, logged) = self.insert_inner(collection, doc);
-        logged.map(|_| id)
-    }
-
-    fn insert_inner(&self, collection: &str, mut doc: Doc) -> (u64, Result<()>) {
+    /// Insert into a collection (created on first use); returns the new id.
+    pub fn insert(&self, collection: &str, mut doc: Doc) -> Result<u64> {
         let id = self.alloc_id(collection);
         doc.set("_id", id);
         self.apply_put(collection, id, doc.clone());
-        let logged = self.log_op(WalOp::Put { collection: collection.to_string(), id, doc });
-        (id, logged)
+        self.log_op(WalOp::Put { collection: collection.to_string(), id, doc })?;
+        Ok(id)
     }
 
-    /// Replace a document. WAL failures are swallowed (see
-    /// [`Database::insert`]); `NotFound` is still reported.
-    pub fn update(&self, collection: &str, id: u64, doc: Doc) -> Result<()> {
-        Self::swallow_wal_error("update", self.try_update(collection, id, doc))
-    }
-
-    /// Replace a document, surfacing WAL append failures.
-    pub fn try_update(&self, collection: &str, id: u64, doc: Doc) -> Result<()> {
-        let post = {
+    /// Replace a document (`NotFound` when `id` is absent).
+    pub fn update(&self, collection: &str, id: u64, mut doc: Doc) -> Result<()> {
+        doc.set("_id", id);
+        {
             let mut shard = self.write_shard(shard_of(collection, id));
-            let col = shard.get_mut(collection).ok_or(StoreError::NotFound(id))?;
-            col.update(id, doc)?;
-            col.get(id).cloned().ok_or(StoreError::NotFound(id))?
-        };
-        self.log_op(WalOp::Put { collection: collection.to_string(), id, doc: post })
+            let col = shard
+                .get_mut(collection)
+                .filter(|col| col.get(id).is_some())
+                .ok_or(StoreError::NotFound(id))?;
+            col.put(id, doc.clone());
+        }
+        self.log_op(WalOp::Put { collection: collection.to_string(), id, doc })
     }
 
-    /// Merge fields into a document (WAL failures swallowed).
+    /// Merge fields into a document. The WAL records the merged
+    /// *post-image*, so replay needs no patch semantics.
     pub fn patch(&self, collection: &str, id: u64, fields: &[(&str, Doc)]) -> Result<()> {
-        Self::swallow_wal_error("patch", self.try_patch(collection, id, fields))
-    }
-
-    /// Merge fields into a document, surfacing WAL append failures.
-    /// The WAL records the merged *post-image*, so replay needs no
-    /// patch semantics.
-    pub fn try_patch(&self, collection: &str, id: u64, fields: &[(&str, Doc)]) -> Result<()> {
         let post = {
             let mut shard = self.write_shard(shard_of(collection, id));
             let col = shard.get_mut(collection).ok_or(StoreError::NotFound(id))?;
@@ -670,13 +618,8 @@ impl Database {
         self.log_op(WalOp::Put { collection: collection.to_string(), id, doc: post })
     }
 
-    /// Delete a document (WAL failures swallowed).
+    /// Delete a document.
     pub fn delete(&self, collection: &str, id: u64) -> Result<()> {
-        Self::swallow_wal_error("delete", self.try_delete(collection, id))
-    }
-
-    /// Delete a document, surfacing WAL append failures.
-    pub fn try_delete(&self, collection: &str, id: u64) -> Result<()> {
         {
             let mut shard = self.write_shard(shard_of(collection, id));
             let col = shard.get_mut(collection).ok_or(StoreError::NotFound(id))?;
@@ -830,7 +773,7 @@ mod tests {
     #[test]
     fn in_memory_crud() {
         let db = Database::in_memory();
-        let id = db.insert("events", Doc::obj().with("signal", "S-1"));
+        let id = db.insert("events", Doc::obj().with("signal", "S-1")).unwrap();
         assert_eq!(db.get("events", id).unwrap().get("signal").unwrap().as_str(), Some("S-1"));
         db.patch("events", id, &[("status", Doc::from("confirmed"))]).unwrap();
         assert_eq!(db.count("events", &Filter::eq("status", "confirmed")), 1);
@@ -845,9 +788,9 @@ mod tests {
         let dir = tmpdir("roundtrip");
         {
             let db = Database::open(&dir).unwrap();
-            db.insert("signals", Doc::obj().with("name", "S-1").with("len", 100i64));
-            db.insert("signals", Doc::obj().with("name", "S-2").with("len", 200i64));
-            db.insert("events", Doc::obj().with("signal", "S-1").with("score", 0.9));
+            db.insert("signals", Doc::obj().with("name", "S-1").with("len", 100i64)).unwrap();
+            db.insert("signals", Doc::obj().with("name", "S-2").with("len", 200i64)).unwrap();
+            db.insert("events", Doc::obj().with("signal", "S-1").with("score", 0.9)).unwrap();
             db.save().unwrap();
         }
         let db = Database::open(&dir).unwrap();
@@ -856,7 +799,7 @@ mod tests {
         let s2 = db.find_one("signals", &Filter::eq("name", "S-2")).unwrap();
         assert_eq!(s2.get("len").unwrap().as_i64(), Some(200));
         // Ids continue monotonically after reload.
-        let id = db.insert("signals", Doc::obj().with("name", "S-3"));
+        let id = db.insert("signals", Doc::obj().with("name", "S-3")).unwrap();
         assert_eq!(id, 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -866,8 +809,8 @@ mod tests {
         let dir = tmpdir("wal-survives");
         {
             let db = Database::open(&dir).unwrap();
-            db.insert("events", Doc::obj().with("signal", "S-1"));
-            db.insert("events", Doc::obj().with("signal", "S-2"));
+            db.insert("events", Doc::obj().with("signal", "S-1")).unwrap();
+            db.insert("events", Doc::obj().with("signal", "S-2")).unwrap();
             // No save(): the WAL alone must carry these.
         }
         let db = Database::open(&dir).unwrap();
@@ -875,7 +818,7 @@ mod tests {
         assert_eq!(db.recovery().wal_replayed_batches, 2);
         assert_eq!(db.recovery().wal_replayed_ops, 2);
         // Replay continues id allocation correctly.
-        assert_eq!(db.insert("events", Doc::obj().with("signal", "S-3")), 3);
+        assert_eq!(db.insert("events", Doc::obj().with("signal", "S-3")).unwrap(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -884,8 +827,8 @@ mod tests {
         let dir = tmpdir("replay-mix");
         {
             let db = Database::open(&dir).unwrap();
-            let a = db.insert("events", Doc::obj().with("signal", "S-1"));
-            let b = db.insert("events", Doc::obj().with("signal", "S-2"));
+            let a = db.insert("events", Doc::obj().with("signal", "S-1")).unwrap();
+            let b = db.insert("events", Doc::obj().with("signal", "S-2")).unwrap();
             db.save().unwrap(); // snapshot holds both, log now empty
             db.patch("events", a, &[("status", Doc::from("confirmed"))]).unwrap();
             db.delete("events", b).unwrap();
@@ -901,7 +844,7 @@ mod tests {
     fn save_is_atomic_no_tmp_left_behind() {
         let dir = tmpdir("atomic");
         let db = Database::open(&dir).unwrap();
-        db.insert("events", Doc::obj().with("a", 1i64));
+        db.insert("events", Doc::obj().with("a", 1i64)).unwrap();
         db.save().unwrap();
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -916,7 +859,7 @@ mod tests {
     fn save_truncates_the_wal() {
         let dir = tmpdir("compact");
         let db = Database::open(&dir).unwrap();
-        db.insert("events", Doc::obj().with("a", 1i64));
+        db.insert("events", Doc::obj().with("a", 1i64)).unwrap();
         assert!(db.wal_size() > 0);
         db.save().unwrap();
         assert_eq!(db.wal_size(), 0);
@@ -929,7 +872,7 @@ mod tests {
         let opts = StoreOptions { compact_threshold: 256, ..StoreOptions::default() };
         let db = Database::open_with(&dir, opts).unwrap();
         for i in 0..20 {
-            db.insert("events", Doc::obj().with("i", i as i64));
+            db.insert("events", Doc::obj().with("i", i as i64)).unwrap();
         }
         // The log crossed 256 bytes long ago and must have compacted.
         assert!(db.wal_size() < 256, "wal stayed at {} bytes", db.wal_size());
@@ -945,10 +888,10 @@ mod tests {
         let opts = StoreOptions { durability: Durability::Snapshot, ..StoreOptions::default() };
         {
             let db = Database::open_with(&dir, opts.clone()).unwrap();
-            db.insert("events", Doc::obj().with("a", 1i64));
+            db.insert("events", Doc::obj().with("a", 1i64)).unwrap();
             assert_eq!(db.wal_size(), 0);
             db.save().unwrap();
-            db.insert("events", Doc::obj().with("a", 2i64)); // lost: not saved
+            db.insert("events", Doc::obj().with("a", 2i64)).unwrap(); // lost: not saved
         }
         let db = Database::open_with(&dir, opts).unwrap();
         assert_eq!(db.count("events", &Filter::All), 1);
@@ -960,14 +903,14 @@ mod tests {
         let dir = tmpdir("mode-switch");
         {
             let db = Database::open(&dir).unwrap(); // wal-sync
-            db.insert("events", Doc::obj().with("a", 1i64));
+            db.insert("events", Doc::obj().with("a", 1i64)).unwrap();
             // No save: the write lives only in the log.
         }
         let opts = StoreOptions { durability: Durability::Snapshot, ..StoreOptions::default() };
         {
             let db = Database::open_with(&dir, opts.clone()).unwrap();
             assert_eq!(db.count("events", &Filter::All), 1, "stale wal replayed");
-            db.insert("events", Doc::obj().with("a", 2i64));
+            db.insert("events", Doc::obj().with("a", 2i64)).unwrap();
             db.save().unwrap();
         }
         // The stale log was folded and truncated: it cannot resurrect.
@@ -981,8 +924,8 @@ mod tests {
         let dir = tmpdir("quarantine");
         {
             let db = Database::open(&dir).unwrap();
-            db.insert("events", Doc::obj().with("a", 1i64));
-            db.insert("signals", Doc::obj().with("name", "S-1"));
+            db.insert("events", Doc::obj().with("a", 1i64)).unwrap();
+            db.insert("signals", Doc::obj().with("name", "S-1")).unwrap();
             db.save().unwrap();
         }
         // Mangle one collection's snapshot.
@@ -1025,8 +968,8 @@ mod tests {
         let db = Database::open(&dir).unwrap();
         let size_empty = db.wal_size();
         let scope = db.batch();
-        db.insert("events", Doc::obj().with("a", 1i64));
-        db.insert("events", Doc::obj().with("a", 2i64));
+        db.insert("events", Doc::obj().with("a", 1i64)).unwrap();
+        db.insert("events", Doc::obj().with("a", 2i64)).unwrap();
         assert_eq!(db.wal_size(), size_empty, "writes buffer until commit");
         scope.commit().unwrap();
         assert!(db.wal_size() > size_empty);
@@ -1044,10 +987,10 @@ mod tests {
         let dir = tmpdir("batch-nest");
         let db = Database::open(&dir).unwrap();
         let outer = db.batch();
-        db.insert("events", Doc::obj().with("a", 1i64));
+        db.insert("events", Doc::obj().with("a", 1i64)).unwrap();
         {
             let inner = db.batch();
-            db.insert("events", Doc::obj().with("a", 2i64));
+            db.insert("events", Doc::obj().with("a", 2i64)).unwrap();
             inner.commit().unwrap();
         }
         assert_eq!(db.wal_size(), 0, "inner commit must not flush the outer scope");
@@ -1067,7 +1010,8 @@ mod tests {
             let db = db.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..50 {
-                    db.insert("events", Doc::obj().with("thread", t as i64).with("i", i as i64));
+                    db.insert("events", Doc::obj().with("thread", t as i64).with("i", i as i64))
+                        .unwrap();
                 }
             }));
         }
@@ -1089,7 +1033,7 @@ mod tests {
         let db = Database::in_memory();
         db.create_index("events", "signal");
         for i in 0..30 {
-            db.insert("events", Doc::obj().with("signal", format!("S-{}", i % 3)));
+            db.insert("events", Doc::obj().with("signal", format!("S-{}", i % 3))).unwrap();
         }
         assert_eq!(db.find("events", &Filter::eq("signal", "S-1")).len(), 10);
     }
@@ -1098,13 +1042,13 @@ mod tests {
     fn index_declared_after_load_covers_all_shards() {
         let db = Database::in_memory();
         for i in 0..64 {
-            db.insert("events", Doc::obj().with("signal", format!("S-{}", i % 4)));
+            db.insert("events", Doc::obj().with("signal", format!("S-{}", i % 4))).unwrap();
         }
         db.create_index("events", "signal");
         assert_eq!(db.find("events", &Filter::eq("signal", "S-2")).len(), 16);
         // New shard slices created after the index inherit it too.
         for i in 64..128 {
-            db.insert("events", Doc::obj().with("signal", format!("S-{}", i % 4)));
+            db.insert("events", Doc::obj().with("signal", format!("S-{}", i % 4))).unwrap();
         }
         assert_eq!(db.find("events", &Filter::eq("signal", "S-2")).len(), 32);
     }

@@ -77,12 +77,18 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse a JSON document.
+/// Deepest container nesting [`from_json`] accepts. The parser
+/// recurses once per level, so unbounded input nesting would overflow
+/// the stack; every document the store writes is far shallower.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document. Arrays and objects nested more than
+/// `MAX_DEPTH` (128) levels deep are a [`StoreError::Parse`].
 pub fn from_json(input: &str) -> Result<Doc> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    let doc = parse_value(bytes, &mut pos)?;
+    let doc = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(StoreError::Parse { offset: pos, message: "trailing characters".into() });
@@ -100,12 +106,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Doc> {
+/// Parse one value inside `depth` enclosing containers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Doc> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err(*pos, "nesting too deep")),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Doc::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Doc::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Doc::Bool(false)),
@@ -208,7 +216,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Doc> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Doc> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -217,7 +225,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Doc> {
         return Ok(Doc::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -232,7 +240,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Doc> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Doc> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Doc> {
     *pos += 1; // consume '{'
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -251,7 +259,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Doc> {
             return Err(err(*pos, "expected ':'"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -457,6 +465,20 @@ mod tests {
         let long = "x".repeat(1 << 18) + "é\"" + &"y".repeat(1 << 10);
         let json = to_json(&Doc::from(long.as_str()));
         assert_eq!(from_json(&json).unwrap(), Doc::Str(long));
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        for nested in [arrays, objects] {
+            assert!(from_json(&nested(MAX_DEPTH)).is_ok());
+            let e = from_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(matches!(e, StoreError::Parse { .. }), "{e:?}");
+        }
+        // Deep enough to overflow the stack without the bound.
+        let e = from_json(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(matches!(e, StoreError::Parse { .. }), "{e:?}");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   serializer/parser ([`json`]);
 //! * [`query::Filter`] — MongoDB-flavoured filters (eq/ne/gt/lt/in/
 //!   exists/and/or) evaluated against documents;
-//! * [`collection::Collection`] — id-keyed document storage with
-//!   secondary hash indexes used to accelerate equality filters;
+//! * [`collection::Collection`] — id-keyed document storage (ids are
+//!   allocated by the database) with secondary hash indexes used to
+//!   accelerate equality filters;
 //! * [`wal`] — an append-only, CRC32-checksummed write-ahead log with
 //!   torn-tail recovery and (behind the `faulty` feature) crash-point
 //!   fault injection;
@@ -25,6 +26,13 @@
 //! * [`schema`] — the Sintel entity schema of Figure 6 (datasets,
 //!   signals, templates, pipelines, experiments, signalruns, events,
 //!   annotations, users) as typed helpers over the generic layers.
+//!
+//! There is one write path. [`Database`] has one method per write verb
+//! (`insert`, `update`, `patch`, `delete`) and every [`SintelDb`]
+//! writer returns [`Result`]. A write applies to memory, then appends to
+//! the WAL; if the append fails the write stays applied in memory and
+//! the call returns the error, so no caller is told a write is durable
+//! when it is not.
 
 pub mod collection;
 pub mod db;

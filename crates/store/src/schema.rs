@@ -144,7 +144,7 @@ impl SintelDb {
     // ---- typed inserts -------------------------------------------------
 
     /// Register a dataset.
-    pub fn add_dataset(&self, name: &str, entity: &str) -> u64 {
+    pub fn add_dataset(&self, name: &str, entity: &str) -> Result<u64> {
         self.db.insert(
             collections::DATASETS,
             Doc::obj().with("name", name).with("entity", entity),
@@ -152,7 +152,7 @@ impl SintelDb {
     }
 
     /// Register a signal belonging to a dataset.
-    pub fn add_signal(&self, name: &str, dataset: &str, start: i64, stop: i64) -> u64 {
+    pub fn add_signal(&self, name: &str, dataset: &str, start: i64, stop: i64) -> Result<u64> {
         self.db.insert(
             collections::SIGNALS,
             Doc::obj()
@@ -164,12 +164,12 @@ impl SintelDb {
     }
 
     /// Register a user.
-    pub fn add_user(&self, name: &str, role: &str) -> u64 {
+    pub fn add_user(&self, name: &str, role: &str) -> Result<u64> {
         self.db.insert(collections::USERS, Doc::obj().with("name", name).with("role", role))
     }
 
     /// Register a pipeline (name + json-ish spec).
-    pub fn add_pipeline(&self, name: &str, spec: Doc) -> u64 {
+    pub fn add_pipeline(&self, name: &str, spec: Doc) -> Result<u64> {
         self.db.insert(
             collections::PIPELINES,
             Doc::obj().with("name", name).with("json", spec),
@@ -177,7 +177,7 @@ impl SintelDb {
     }
 
     /// Register an experiment over a dataset with a pipeline.
-    pub fn add_experiment(&self, name: &str, dataset: &str, pipeline: &str) -> u64 {
+    pub fn add_experiment(&self, name: &str, dataset: &str, pipeline: &str) -> Result<u64> {
         self.db.insert(
             collections::EXPERIMENTS,
             Doc::obj().with("name", name).with("dataset", dataset).with("pipeline", pipeline),
@@ -185,7 +185,7 @@ impl SintelDb {
     }
 
     /// Register one signal's run within an experiment.
-    pub fn add_signalrun(&self, experiment_id: u64, signal: &str, status: &str) -> u64 {
+    pub fn add_signalrun(&self, experiment_id: u64, signal: &str, status: &str) -> Result<u64> {
         self.db.insert(
             collections::SIGNALRUNS,
             Doc::obj()
@@ -203,7 +203,7 @@ impl SintelDb {
         start: i64,
         stop: i64,
         severity: f64,
-    ) -> u64 {
+    ) -> Result<u64> {
         self.db.insert(
             collections::EVENTS,
             Doc::obj()
@@ -218,7 +218,13 @@ impl SintelDb {
     }
 
     /// Record an expert annotation on an event.
-    pub fn add_annotation(&self, event_id: u64, user_id: u64, action: &str, tag: &str) -> u64 {
+    pub fn add_annotation(
+        &self,
+        event_id: u64,
+        user_id: u64,
+        action: &str,
+        tag: &str,
+    ) -> Result<u64> {
         self.db.insert(
             collections::ANNOTATIONS,
             Doc::obj()
@@ -230,7 +236,7 @@ impl SintelDb {
     }
 
     /// Record a discussion comment on an event.
-    pub fn add_comment(&self, event_id: u64, user_id: u64, text: &str) -> u64 {
+    pub fn add_comment(&self, event_id: u64, user_id: u64, text: &str) -> Result<u64> {
         self.db.insert(
             collections::COMMENTS,
             Doc::obj().with("event_id", event_id).with("user_id", user_id).with("text", text),
@@ -246,7 +252,7 @@ impl SintelDb {
         kind: &str,
         message: &str,
         strikes: usize,
-    ) -> u64 {
+    ) -> Result<u64> {
         self.db.insert(
             collections::RUN_FAILURES,
             Doc::obj()
@@ -268,7 +274,7 @@ impl SintelDb {
         severity: &str,
         step: &str,
         message: &str,
-    ) -> u64 {
+    ) -> Result<u64> {
         self.db.insert(
             collections::DIAGNOSTICS,
             Doc::obj()
@@ -296,7 +302,7 @@ impl SintelDb {
     }
 
     /// Quarantine a `pipeline × signal` pair so later runs skip it.
-    pub fn add_quarantine(&self, pipeline: &str, signal: &str, reason: &str) -> u64 {
+    pub fn add_quarantine(&self, pipeline: &str, signal: &str, reason: &str) -> Result<u64> {
         self.db.insert(
             collections::QUARANTINE,
             Doc::obj()
@@ -313,7 +319,7 @@ impl SintelDb {
 
     /// Store a metrics snapshot for a run, in both exporter formats
     /// (Prometheus text dump and JSON).
-    pub fn add_metrics_snapshot(&self, run: &str, prometheus: &str, json: &str) -> u64 {
+    pub fn add_metrics_snapshot(&self, run: &str, prometheus: &str, json: &str) -> Result<u64> {
         self.db.insert(
             collections::METRICS_SNAPSHOTS,
             Doc::obj()
@@ -333,7 +339,7 @@ impl SintelDb {
     /// Upsert a tenant's serving-session checkpoint metadata: update in
     /// place when `doc_id` is known, insert otherwise. Returns the
     /// document id (stable across updates, so the serving engine can
-    /// keep checkpointing into the same slot). WAL failures surface.
+    /// keep checkpointing into the same slot).
     pub fn upsert_serve_session(&self, doc_id: Option<u64>, doc: Doc) -> Result<u64> {
         self.upsert(collections::SERVE_SESSIONS, doc_id, doc)
     }
@@ -346,7 +352,7 @@ impl SintelDb {
     /// Persist one window chunk of a tenant's signal: the samples with
     /// absolute indices `first..first + timestamps.len()`. Replaces
     /// chunk `id` when given, inserts a new one otherwise; returns the
-    /// chunk's document id. WAL failures surface.
+    /// chunk's document id.
     pub fn upsert_serve_chunk(
         &self,
         id: Option<u64>,
@@ -366,20 +372,20 @@ impl SintelDb {
     }
 
     /// Replace document `id` when given, insert otherwise; returns the
-    /// document id. WAL failures surface.
+    /// document id.
     fn upsert(&self, collection: &str, id: Option<u64>, doc: Doc) -> Result<u64> {
         match id {
             Some(id) => {
-                self.db.try_update(collection, id, doc)?;
+                self.db.update(collection, id, doc)?;
                 Ok(id)
             }
-            None => self.db.try_insert(collection, doc),
+            None => self.db.insert(collection, doc),
         }
     }
 
     /// Drop a window chunk that slid out of its signal's window.
     pub fn delete_serve_chunk(&self, id: u64) -> Result<()> {
-        self.db.try_delete(collections::SERVE_CHUNKS, id)
+        self.db.delete(collections::SERVE_CHUNKS, id)
     }
 
     /// Every persisted window chunk of a tenant, `_id` order.
@@ -387,8 +393,7 @@ impl SintelDb {
         self.db.find(collections::SERVE_CHUNKS, &Filter::eq("tenant", tenant))
     }
 
-    /// Record a committed serving-tier anomaly event (WAL failures
-    /// surface).
+    /// Record a committed serving-tier anomaly event.
     #[allow(clippy::too_many_arguments)]
     pub fn add_serve_event(
         &self,
@@ -400,7 +405,7 @@ impl SintelDb {
         severity: f64,
         pass: u64,
     ) -> Result<u64> {
-        self.db.try_insert(
+        self.db.insert(
             collections::SERVE_EVENTS,
             Doc::obj()
                 .with("tenant", tenant)
@@ -421,9 +426,8 @@ impl SintelDb {
 
     /// Record one per-tick wide event (the caller builds the document;
     /// the engine's `TickWideEvent::to_doc` is the canonical shape).
-    /// WAL failures surface.
     pub fn add_serve_tick(&self, doc: Doc) -> Result<u64> {
-        self.db.try_insert(collections::SERVE_TICKS, doc)
+        self.db.insert(collections::SERVE_TICKS, doc)
     }
 
     /// All persisted wide events, insertion order (= tick order, since
@@ -484,16 +488,16 @@ mod tests {
     #[test]
     fn full_schema_walk() {
         let db = SintelDb::in_memory();
-        db.add_dataset("NASA", "spacecraft");
-        db.add_signal("S-1", "NASA", 0, 10_000);
-        db.add_signal("S-2", "NASA", 0, 10_000);
-        let user = db.add_user("alice", "satellite engineer");
-        db.add_pipeline("lstm_dynamic_threshold", Doc::obj().with("window", 50i64));
-        let exp = db.add_experiment("exp-1", "NASA", "lstm_dynamic_threshold");
-        let run = db.add_signalrun(exp, "S-1", "done");
-        let ev = db.add_event(run, "S-1", 100, 200, 0.9);
-        db.add_annotation(ev, user, "confirm", "anomaly");
-        db.add_comment(ev, user, "looks like a real thermal excursion");
+        db.add_dataset("NASA", "spacecraft").unwrap();
+        db.add_signal("S-1", "NASA", 0, 10_000).unwrap();
+        db.add_signal("S-2", "NASA", 0, 10_000).unwrap();
+        let user = db.add_user("alice", "satellite engineer").unwrap();
+        db.add_pipeline("lstm_dynamic_threshold", Doc::obj().with("window", 50i64)).unwrap();
+        let exp = db.add_experiment("exp-1", "NASA", "lstm_dynamic_threshold").unwrap();
+        let run = db.add_signalrun(exp, "S-1", "done").unwrap();
+        let ev = db.add_event(run, "S-1", 100, 200, 0.9).unwrap();
+        db.add_annotation(ev, user, "confirm", "anomaly").unwrap();
+        db.add_comment(ev, user, "looks like a real thermal excursion").unwrap();
 
         assert_eq!(db.signals_for_dataset("NASA").len(), 2);
         assert_eq!(db.events_for_signal("S-1").len(), 1);
@@ -506,8 +510,8 @@ mod tests {
     #[test]
     fn event_status_lifecycle() {
         let db = SintelDb::in_memory();
-        let run = db.add_signalrun(1, "S-1", "done");
-        let ev = db.add_event(run, "S-1", 0, 10, 0.5);
+        let run = db.add_signalrun(1, "S-1", "done").unwrap();
+        let ev = db.add_event(run, "S-1", 0, 10, 0.5).unwrap();
         let doc = db.events_for_signal("S-1").pop().unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("unreviewed"));
         db.set_event_status(ev, "confirmed").unwrap();
@@ -521,15 +525,15 @@ mod tests {
         assert_eq!(db.failure_strikes("arima", "S-1"), 0);
         assert!(!db.is_quarantined("arima", "S-1"));
 
-        db.add_run_failure("arima", "S-1", "panic", "injected panic", 1);
+        db.add_run_failure("arima", "S-1", "panic", "injected panic", 1).unwrap();
         assert_eq!(db.failure_strikes("arima", "S-1"), 1);
-        db.add_run_failure("arima", "S-1", "timeout", "exceeded budget", 2);
+        db.add_run_failure("arima", "S-1", "timeout", "exceeded budget", 2).unwrap();
         assert_eq!(db.failure_strikes("arima", "S-1"), 3);
         // Strikes are per pair, not per pipeline or per signal.
         assert_eq!(db.failure_strikes("arima", "S-2"), 0);
         assert_eq!(db.failure_strikes("tadgan", "S-1"), 0);
 
-        db.add_quarantine("arima", "S-1", "3 strikes");
+        db.add_quarantine("arima", "S-1", "3 strikes").unwrap();
         assert!(db.is_quarantined("arima", "S-1"));
         assert!(!db.is_quarantined("arima", "S-2"));
     }
@@ -544,8 +548,9 @@ mod tests {
             "error",
             "lstm_regressor",
             "required input 'windows' (windows) is never produced by an upstream step",
-        );
-        db.add_diagnostic("arima", "SA002", "warning", "arima", "unused output");
+        )
+        .unwrap();
+        db.add_diagnostic("arima", "SA002", "warning", "arima", "unused output").unwrap();
         let diags = db.diagnostics_for_pipeline("lstm_dynamic_threshold");
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].get("code").unwrap().as_str(), Some("SA001"));
@@ -559,8 +564,8 @@ mod tests {
     fn metrics_snapshots_round_trip() {
         let db = SintelDb::in_memory();
         assert!(db.metrics_snapshots("benchmark").is_empty());
-        db.add_metrics_snapshot("benchmark", "# TYPE x counter\nx 1\n", "{\"x\":1}");
-        db.add_metrics_snapshot("tune", "# TYPE y counter\ny 2\n", "{\"y\":2}");
+        db.add_metrics_snapshot("benchmark", "# TYPE x counter\nx 1\n", "{\"x\":1}").unwrap();
+        db.add_metrics_snapshot("tune", "# TYPE y counter\ny 2\n", "{\"y\":2}").unwrap();
         let snaps = db.metrics_snapshots("benchmark");
         assert_eq!(snaps.len(), 1);
         assert!(snaps[0]
@@ -627,8 +632,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let db = SintelDb::open(&dir).unwrap();
-            let run = db.add_signalrun(1, "S-1", "done");
-            db.add_event(run, "S-1", 5, 9, 0.4);
+            let run = db.add_signalrun(1, "S-1", "done").unwrap();
+            db.add_event(run, "S-1", 5, 9, 0.4).unwrap();
             db.save().unwrap();
         }
         let db = SintelDb::open(&dir).unwrap();

@@ -71,7 +71,9 @@ fn run_workload(spec: &Workload, threads: usize, dir: &Path) -> BTreeMap<String,
                             db.delete(&col, id).expect("delete");
                         }
                         _ => {
-                            live.push(db.insert(&col, Doc::obj().with("v", value)));
+                            live.push(
+                                db.insert(&col, Doc::obj().with("v", value)).expect("insert"),
+                            );
                         }
                     }
                     // Interleave reads with every write: they must see
@@ -146,14 +148,14 @@ fn readers_never_block_on_a_writer_to_another_shard() {
     let db = Arc::new(Database::in_memory());
 
     // The writer hammers exactly one document — one shard.
-    let writer_id = db.insert("w", Doc::obj().with("v", 0i64));
+    let writer_id = db.insert("w", Doc::obj().with("v", 0i64)).expect("insert");
     let writer_shard = shard_of("w", writer_id);
 
     // Readers get ids proven (via the public hash) to live on other
     // shards, so the writer's exclusive lock is never in their way.
     let mut reader_ids = Vec::new();
     for _ in 0..64 {
-        let id = db.insert("r", Doc::obj().with("v", 1i64));
+        let id = db.insert("r", Doc::obj().with("v", 1i64)).expect("insert");
         if shard_of("r", id) != writer_shard {
             reader_ids.push(id);
         }

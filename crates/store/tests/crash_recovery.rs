@@ -19,7 +19,8 @@ use sintel_common::check::{forall, shrinks, Config};
 use sintel_common::SintelRng;
 use sintel_store::wal::fault::{self, CrashPoint};
 use sintel_store::wal::WAL_FILE;
-use sintel_store::{Database, Doc, Filter, StoreError};
+use sintel_store::schema::collections;
+use sintel_store::{Database, Doc, Filter, SintelDb, StoreError};
 
 /// The fault-injection arm point is process-global; crash tests must
 /// not interleave.
@@ -70,10 +71,10 @@ fn append_crash_points_lose_at_most_the_inflight_batch() {
         let dir = tmpdir(point.label());
         {
             let db = Database::open(&dir).expect("open");
-            db.try_insert("events", doc(1)).expect("commit 1");
-            db.try_insert("events", doc(2)).expect("commit 2");
+            db.insert("events", doc(1)).expect("commit 1");
+            db.insert("events", doc(2)).expect("commit 2");
             fault::arm(point);
-            let crashed = db.try_insert("events", doc(3));
+            let crashed = db.insert("events", doc(3));
             assert!(
                 matches!(crashed, Err(StoreError::Injected(_))),
                 "{point:?}: expected injected crash, got {crashed:?}"
@@ -114,6 +115,45 @@ fn append_crash_points_lose_at_most_the_inflight_batch() {
     }
 }
 
+fn append_errors() -> u64 {
+    sintel_obs::global().snapshot().counter("sintel_store_wal_append_errors_total").unwrap_or(0)
+}
+
+/// Knowledge-base writes report a failed append as `Err` instead of
+/// success; the failure is still counted, and the reopened store does
+/// not contain the failed write.
+#[test]
+fn knowledge_base_write_failures_surface() {
+    let _guard = serial();
+    let dir = tmpdir("kb-writes");
+    let (kept, deleted) = {
+        let kb = SintelDb::open(&dir).expect("open");
+        let run = kb.add_signalrun(1, "S-1", "done").expect("commit signalrun");
+        let kept = kb.add_event(run, "S-1", 0, 10, 0.5).expect("commit event");
+        let deleted = kb.add_event(run, "S-1", 20, 30, 0.7).expect("commit event");
+        let before = append_errors();
+
+        fault::arm(CrashPoint::BeforeAppend);
+        let added = kb.add_event(run, "S-1", 40, 50, 0.9);
+        assert!(matches!(added, Err(StoreError::Injected(_))), "add_event: {added:?}");
+        fault::arm(CrashPoint::BeforeAppend);
+        let status = kb.set_event_status(kept, "confirmed");
+        assert!(matches!(status, Err(StoreError::Injected(_))), "set_event_status: {status:?}");
+        fault::arm(CrashPoint::BeforeAppend);
+        let removed = kb.raw().delete(collections::EVENTS, deleted);
+        assert!(matches!(removed, Err(StoreError::Injected(_))), "delete: {removed:?}");
+
+        assert_eq!(append_errors(), before + 3);
+        (kept, deleted)
+    };
+    let kb = SintelDb::open(&dir).expect("reopen");
+    let events = kb.events_for_signal("S-1");
+    let ids: Vec<i64> = events.iter().filter_map(|e| e.get("_id").and_then(Doc::as_i64)).collect();
+    assert_eq!(ids, vec![kept as i64, deleted as i64], "failed insert and delete must not persist");
+    assert_eq!(events[0].get("status").and_then(Doc::as_str), Some("unreviewed"));
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 #[test]
 fn mid_compaction_crash_leaves_wal_authoritative() {
     let _guard = serial();
@@ -121,7 +161,7 @@ fn mid_compaction_crash_leaves_wal_authoritative() {
     {
         let db = Database::open(&dir).expect("open");
         for v in 0..5 {
-            db.try_insert("events", doc(v)).expect("commit");
+            db.insert("events", doc(v)).expect("commit");
         }
         fault::arm(CrashPoint::MidCompaction);
         let crashed = db.save();
@@ -160,10 +200,10 @@ fn crash_during_batch_commit_loses_only_that_batch() {
     let dir = tmpdir("batch-crash");
     {
         let db = Database::open(&dir).expect("open");
-        db.try_insert("events", doc(1)).expect("commit");
+        db.insert("events", doc(1)).expect("commit");
         let scope = db.batch();
-        db.insert("events", doc(2));
-        db.insert("events", doc(3));
+        db.insert("events", doc(2)).expect("buffered");
+        db.insert("events", doc(3)).expect("buffered");
         fault::arm(CrashPoint::MidAppend);
         let crashed = scope.commit();
         assert!(matches!(crashed, Err(StoreError::Injected(_))), "got {crashed:?}");
@@ -184,7 +224,7 @@ fn torn_tail_recovers_at_every_byte_offset() {
     {
         let db = Database::open(&base).expect("open");
         for v in 0..3 {
-            db.try_insert("events", doc(v)).expect("commit");
+            db.insert("events", doc(v)).expect("commit");
         }
     }
     let wal = std::fs::read(base.join(WAL_FILE)).expect("read canonical log");
@@ -255,11 +295,11 @@ fn random_workloads_survive_random_crashes() {
                 let db = Database::open(&dir).map_err(|e| e.to_string())?;
                 for v in 0..before {
                     acked.push(
-                        db.try_insert("events", doc(v as i64)).map_err(|e| e.to_string())?,
+                        db.insert("events", doc(v as i64)).map_err(|e| e.to_string())?,
                     );
                 }
                 fault::arm(point);
-                match db.try_insert("events", doc(1000)) {
+                match db.insert("events", doc(1000)) {
                     Ok(id) => acked.push(id),
                     Err(StoreError::Injected(_)) => {
                         inflight = db
@@ -292,7 +332,7 @@ fn random_workloads_survive_random_crashes() {
                 }
                 // The machine restarts and keeps working.
                 for v in 0..after {
-                    db.try_insert("events", doc(2000 + v as i64)).map_err(|e| e.to_string())?;
+                    db.insert("events", doc(2000 + v as i64)).map_err(|e| e.to_string())?;
                 }
             }
             let db = Database::open(&dir).map_err(|e| e.to_string())?;

@@ -53,12 +53,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Phase 2: an expert reviews them through the annotation API, every
     // action persisted to the knowledge base.
     let db = SintelDb::in_memory();
-    let user = db.add_user("dana", "satellite engineer");
-    let run = db.add_signalrun(1, "train", "done");
+    let user = db.add_user("dana", "satellite engineer")?;
+    let run = db.add_signalrun(1, "train", "done")?;
     let mut expert =
         SimulatedExpert::new(vec![("train".to_string(), train_truth.clone())], 1.0, 3);
     for proposal in &proposals {
-        let mut event = persist_detected(&db, run, "train", proposal.interval, proposal.score);
+        let mut event = persist_detected(&db, run, "train", proposal.interval, proposal.score)?;
         let action = expert.review(&event);
         apply_action(&db, &mut event, user, &action)?;
         if matches!(action, AnnotationAction::Confirm) {

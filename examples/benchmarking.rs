@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Persist into the knowledge base so future sessions can compare.
     let db = SintelDb::in_memory();
-    persist_benchmark(&db, &rows);
+    persist_benchmark(&db, &rows)?;
     println!(
         "\npersisted {} result rows into the knowledge base ({} experiments).",
         rows.len(),

@@ -53,10 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join("sintel-satellite-ops");
     let _ = std::fs::remove_dir_all(&dir);
     let db = SintelDb::open(&dir)?;
-    db.add_dataset("SAT", "spacecraft telemetry");
-    let operator = db.add_user("ops-team", "satellite engineer");
+    db.add_dataset("SAT", "spacecraft telemetry")?;
+    let operator = db.add_user("ops-team", "satellite engineer")?;
     for (signal, _) in &fleet {
-        db.add_signal(signal.name(), "SAT", signal.start().unwrap(), signal.end().unwrap());
+        db.add_signal(signal.name(), "SAT", signal.start().unwrap(), signal.end().unwrap())?;
     }
 
     // Detection sweep with the knowledge base attached: every event is
@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 signal.name(),
                 a.interval,
                 a.score,
-            );
+            )?;
             let action = expert.review(&event);
             if matches!(action, AnnotationAction::Confirm) {
                 confirmed += 1;

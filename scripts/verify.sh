@@ -13,7 +13,7 @@ cargo build --release
 # `cargo test -q` is the whole workspace. The gate also fails if the
 # number of passing tests drops below this floor: a suite must never
 # shrink quietly.
-TEST_FLOOR=736
+TEST_FLOOR=738
 
 # Run `cargo test -q` with the given environment, echo its output and
 # fail unless at least TEST_FLOOR tests passed.
@@ -104,11 +104,12 @@ cargo run --release -q -p sintel-bench --bin compute_bench -- --check BENCH_comp
 
 # The fault-isolation layer must never itself abort: deny unwrap in the
 # pipeline executor, the framework core, the durability-critical store,
-# the long-running serving tier, and the observability substrate every
-# one of them calls into (test code is exempt — clippy only lints
-# lib/bin targets here).
-echo "==> cargo clippy (deny unwrap_used in sintel-pipeline, sintel, sintel-store, sintel-serve, sintel-obs, sintel-analyze)"
-cargo clippy -p sintel-pipeline -p sintel -p sintel-store -p sintel-serve -p sintel-obs -p sintel-analyze -- -D clippy::unwrap_used
+# the long-running serving tier, the human-in-the-loop layer that writes
+# expert annotations, and the observability substrate every one of them
+# calls into (test code is exempt — clippy only lints lib/bin targets
+# here).
+echo "==> cargo clippy (deny unwrap_used in sintel-pipeline, sintel, sintel-store, sintel-serve, sintel-hil, sintel-obs, sintel-analyze)"
+cargo clippy -p sintel-pipeline -p sintel -p sintel-store -p sintel-serve -p sintel-hil -p sintel-obs -p sintel-analyze -- -D clippy::unwrap_used
 
 # Library crates must route diagnostics through sintel-obs, never print
 # directly. Lib targets only: binaries (CLI, bench tables) legitimately

@@ -61,8 +61,8 @@ fn corpora_are_seed_stable() {
 /// Figure 8b numbers in EXPERIMENTS.md are reproducible claims.
 #[test]
 fn study_replays_identically() {
-    let a = run_study(&StudyConfig::default(), &SintelDb::in_memory());
-    let b = run_study(&StudyConfig::default(), &SintelDb::in_memory());
+    let a = run_study(&StudyConfig::default(), &SintelDb::in_memory()).unwrap();
+    let b = run_study(&StudyConfig::default(), &SintelDb::in_memory()).unwrap();
     assert_eq!(a.ml_presented, b.ml_presented);
     assert_eq!(a.ml_missed, b.ml_missed);
 }

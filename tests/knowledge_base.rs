@@ -53,12 +53,12 @@ fn detection_events_survive_restart_and_are_queryable() {
 #[test]
 fn annotation_audit_trail_is_complete() {
     let db = SintelDb::in_memory();
-    let alice = db.add_user("alice", "engineer");
-    let bob = db.add_user("bob", "program manager");
-    let run = db.add_signalrun(1, "CH-1", "done");
+    let alice = db.add_user("alice", "engineer").unwrap();
+    let bob = db.add_user("bob", "program manager").unwrap();
+    let run = db.add_signalrun(1, "CH-1", "done").unwrap();
 
     let mut event =
-        persist_detected(&db, run, "CH-1", Interval::new(1000, 2000).unwrap(), 0.9);
+        persist_detected(&db, run, "CH-1", Interval::new(1000, 2000).unwrap(), 0.9).unwrap();
     apply_action(&db, &mut event, alice, &AnnotationAction::Confirm).unwrap();
     apply_action(
         &db,
@@ -99,9 +99,9 @@ fn annotation_audit_trail_is_complete() {
 #[test]
 fn stored_events_annotate_new_signals() {
     let db = SintelDb::in_memory();
-    let run = db.add_signalrun(1, "CH-7", "done");
-    db.add_event(run, "CH-7", 5_000, 6_000, 0.8);
-    db.add_event(run, "CH-7", 9_000, 9_500, 0.6);
+    let run = db.add_signalrun(1, "CH-7", "done").unwrap();
+    db.add_event(run, "CH-7", 5_000, 6_000, 0.8).unwrap();
+    db.add_event(run, "CH-7", 9_000, 9_500, 0.6).unwrap();
 
     // A later session pulls the known anomalies instead of re-detecting.
     let known: Vec<Interval> = db
@@ -136,7 +136,7 @@ fn benchmark_results_are_persisted_experiments() {
     };
     let rows = benchmark(&cfg).unwrap();
     let db = SintelDb::in_memory();
-    persist_benchmark(&db, &rows);
+    persist_benchmark(&db, &rows).unwrap();
     let experiments = db.raw().find(collections::EXPERIMENTS, &Filter::All);
     assert_eq!(experiments.len(), rows.len());
     let results = db.raw().find("benchmark_results", &Filter::All);

@@ -71,9 +71,9 @@ fn indexed_find_agrees_with_scan() {
         let mut indexed = Collection::new();
         indexed.create_index("signal");
         let mut plain = Collection::new();
-        for doc in &docs {
-            indexed.insert(doc.clone());
-            plain.insert(doc.clone());
+        for (id, doc) in (1..).zip(&docs) {
+            indexed.put(id, doc.clone());
+            plain.put(id, doc.clone());
         }
         let from_index: Vec<i64> = indexed
             .find(&filter)
@@ -113,8 +113,8 @@ fn delete_by_filter_leaves_complement() {
         let docs: Vec<Doc> = (0..rng.index(30)).map(|_| random_doc(&mut rng)).collect();
         let filter = random_filter(&mut rng, 2);
         let mut collection = Collection::new();
-        for doc in &docs {
-            collection.insert(doc.clone());
+        for (id, doc) in (1..).zip(&docs) {
+            collection.put(id, doc.clone());
         }
         let matched: Vec<u64> = collection
             .find(&filter)
