@@ -179,6 +179,9 @@ impl Sintel {
                     self.policy.timeout
                 )))
             }
+            GuardedResult::WorkerStartFailed(message) => {
+                return Err(SintelError::Pipeline(message))
+            }
         };
         if let Some(db) = &self.db {
             self.signalrun_counter += 1;

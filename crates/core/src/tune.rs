@@ -136,7 +136,9 @@ fn evaluate_lambda_guarded(
         evaluate_lambda(&template, &lambda, &data, &setting)
     }) {
         GuardedResult::Done(score) => score,
-        GuardedResult::Panicked(_) | GuardedResult::TimedOut => f64::NEG_INFINITY,
+        GuardedResult::Panicked(_)
+        | GuardedResult::TimedOut
+        | GuardedResult::WorkerStartFailed(_) => f64::NEG_INFINITY,
     }
 }
 

@@ -89,6 +89,8 @@ fn value_is_finite(value: &Value) -> bool {
 /// training signal (modeling primitives need their preprocessing outputs
 /// produced before they can fit, hence the interleaving). `detect(signal)`
 /// runs `produce` only and extracts the `anomalies` slot.
+/// `fit_detect_incremental(window)` interleaves `fit` with `update`
+/// instead, fitting and detecting in one run.
 pub struct Pipeline {
     name: String,
     steps: Vec<Box<dyn Primitive>>,
@@ -272,26 +274,40 @@ impl Pipeline {
             return Err(PipelineError::NotFitted(self.name.clone()));
         }
         let ctx = self.run(signal, false)?;
-        match ctx.get("anomalies") {
-            Some(Value::Intervals(anoms)) => Ok(anoms.clone()),
-            _ => Err(PipelineError::Step {
-                step: self.name.clone(),
-                source: "pipeline produced no 'anomalies' slot".into(),
-            }),
-        }
+        self.anomalies(&ctx)
     }
 
-    /// Detect anomalies through the incremental (`update`) path — the
-    /// serving tier's per-chunk entry point. Every step's
-    /// [`Primitive::update`] runs instead of `produce`; the default
-    /// `update` falls back to batch `produce` over the buffered window,
-    /// so for stock primitives this is bitwise-identical to
-    /// [`Pipeline::detect`] (enforced by the streaming purity test).
+    /// Detect anomalies through the incremental (`update`) path on an
+    /// already-fitted pipeline: every step's [`Primitive::update`] runs
+    /// instead of `produce`. The default `update` falls back to batch
+    /// `produce` over the buffered window, so for stock primitives this
+    /// is bitwise-identical to [`Pipeline::detect`] (enforced by the
+    /// streaming purity test). The serving tier refits on every pass
+    /// and goes through [`Pipeline::fit_detect_incremental`] instead.
     pub fn detect_incremental(&mut self, signal: &Signal) -> Result<Vec<ScoredInterval>> {
         if !self.fitted {
             return Err(PipelineError::NotFitted(self.name.clone()));
         }
         let ctx = self.run_mode(signal, false, true)?;
+        self.anomalies(&ctx)
+    }
+
+    /// Fit on `window` and detect on it through the incremental path in
+    /// one executor run: each step's `fit` is followed directly by its
+    /// [`Primitive::update`], whose outputs feed the next step's `fit`.
+    /// This is the serving tier's per-pass entry point. It returns the
+    /// same intervals as [`Pipeline::fit`] followed by
+    /// [`Pipeline::detect_incremental`] on the same window, without
+    /// running every step's `produce` a second time (a differential
+    /// oracle test pins the equality bitwise for every hub template).
+    pub fn fit_detect_incremental(&mut self, window: &Signal) -> Result<Vec<ScoredInterval>> {
+        let ctx = self.run_mode(window, true, true)?;
+        self.fitted = true;
+        self.anomalies(&ctx)
+    }
+
+    /// The `anomalies` slot of a finished run.
+    fn anomalies(&self, ctx: &Context) -> Result<Vec<ScoredInterval>> {
         match ctx.get("anomalies") {
             Some(Value::Intervals(anoms)) => Ok(anoms.clone()),
             _ => Err(PipelineError::Step {

@@ -9,14 +9,17 @@
 //!
 //! * [`RunPolicy`] — how long a run may take, how often it is retried
 //!   and how long to back off between attempts;
-//! * [`run_guarded`] — one attempt on a watchdog thread: panics are
-//!   contained, and a run that exceeds the budget is abandoned and
-//!   reported as a timeout. The abandoned worker is *cooperatively
-//!   cancelled*: a [`sintel_common::CancelToken`] is installed on the
-//!   worker thread and tripped at timeout, and primitive hot loops
-//!   (LSTM epochs, ARIMA recursions, rolling windows) poll
-//!   [`sintel_common::cancelled`] so the thread actually winds down
-//!   instead of leaking until process exit;
+//! * [`run_guarded`] — one attempt on a pooled watchdog worker: panics
+//!   are contained, and a run that exceeds the budget is abandoned and
+//!   reported as a timeout. Workers are long-lived threads reused
+//!   across attempts; one is started only when none is idle, and a
+//!   worker that cannot be started is its own outcome, not a timeout.
+//!   The abandoned worker is *cooperatively cancelled* and retired: a
+//!   [`sintel_common::CancelToken`] is installed for each attempt and
+//!   tripped at timeout, and primitive hot loops (LSTM epochs, ARIMA
+//!   recursions, rolling windows) poll [`sintel_common::cancelled`] so
+//!   the thread actually winds down instead of leaking until process
+//!   exit;
 //! * [`run_with_policy`] — retry loop over [`run_guarded`];
 //! * [`FailureKind`] / [`FailureBreakdown`] — the typed failure
 //!   taxonomy replacing anonymous failure counters, so benchmark rows
@@ -26,7 +29,7 @@
 //! [`PipelineError`]s and guards pipeline executions) and is re-exported
 //! as `sintel::policy` for the framework-core callers.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use sintel_common::CancelToken;
@@ -232,9 +235,12 @@ pub enum GuardedResult<T> {
     /// The task panicked; the payload message is preserved.
     Panicked(String),
     /// The task exceeded the budget; its cancel token was tripped and
-    /// the thread abandoned (it winds down at the next cancellation
-    /// poll in a primitive hot loop).
+    /// its worker retired (it winds down at the next cancellation poll
+    /// in a primitive hot loop).
     TimedOut,
+    /// No watchdog worker was idle and a new one could not be started;
+    /// the task never ran. Carries the operating system's error text.
+    WorkerStartFailed(String),
 }
 
 fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -247,15 +253,57 @@ fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one attempt on a watchdog thread with a wall-clock budget.
+/// One attempt, type-erased for a pooled worker: it catches its own
+/// unwind and sends its outcome back to the waiting [`run_guarded`].
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A long-lived watchdog thread, addressed by its job channel. It runs
+/// each job with the job's [`CancelToken`] installed and exits when the
+/// channel closes.
+struct Worker {
+    jobs: mpsc::Sender<(Job, CancelToken)>,
+}
+
+/// Workers whose last attempt finished within its budget. A timed-out
+/// worker never returns here, so the list holds at most the peak number
+/// of concurrent attempts.
+static IDLE: Mutex<Vec<Worker>> = Mutex::new(Vec::new());
+
+fn idle_workers() -> MutexGuard<'static, Vec<Worker>> {
+    // A Vec push/pop cannot leave the list inconsistent, so a poisoned
+    // lock is still safe to use.
+    IDLE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Start one watchdog worker thread. Its join handle is dropped: the
+/// worker runs until its channel closes, and every job catches its own
+/// panic, so there is no result to join.
+fn start_worker() -> std::io::Result<Worker> {
+    let (jobs, inbox) = mpsc::channel::<(Job, CancelToken)>();
+    std::thread::Builder::new().name("sintel-watchdog".to_string()).spawn(move || {
+        for (job, token) in inbox {
+            sintel_common::with_cancel_token(token, job);
+        }
+    })?;
+    Ok(Worker { jobs })
+}
+
+/// The outcome of an attempt whose worker could not be started.
+fn worker_start_failed<T>(err: &std::io::Error) -> GuardedResult<T> {
+    GuardedResult::WorkerStartFailed(format!("could not start a watchdog worker: {err}"))
+}
+
+/// Run one attempt on a pooled watchdog worker with a wall-clock budget.
 ///
-/// The task runs on its own thread; this call blocks at most `timeout`.
-/// If the task finishes in time its value is returned; if it panics the
-/// unwind is contained. If it hangs, the attempt reports
-/// [`GuardedResult::TimedOut`] and the worker's [`CancelToken`] is
-/// tripped: Rust threads cannot be killed, but primitive hot loops poll
-/// [`sintel_common::cancelled`] and abandon their work, so a timed-out
-/// worker terminates shortly after instead of leaking until it finishes
+/// The task runs on an idle long-lived worker thread (one is started
+/// only when none is idle); this call blocks at most `timeout`. If the
+/// task finishes in time its value is returned and the worker goes back
+/// on the idle list; if it panics the unwind is contained. If it hangs,
+/// the attempt reports [`GuardedResult::TimedOut`], the task's
+/// [`CancelToken`] is tripped and the worker is retired: Rust threads
+/// cannot be killed, but primitive hot loops poll
+/// [`sintel_common::cancelled`] and abandon their work, so the worker
+/// exits shortly after instead of leaking until the task finishes
 /// naturally (or the process exits).
 pub fn run_guarded<T, F>(timeout: Duration, task: F) -> GuardedResult<T>
 where
@@ -263,32 +311,65 @@ where
     F: FnOnce() -> T + Send + 'static,
 {
     let (tx, rx) = mpsc::channel();
+    let job: Job = Box::new(move || {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+        // The receiver may be gone already (timeout) — ignore.
+        let _ = tx.send(result);
+    });
     let token = CancelToken::new();
-    let worker_token = token.clone();
-    let spawned = std::thread::Builder::new()
-        .name("sintel-watchdog-run".to_string())
-        .spawn(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sintel_common::with_cancel_token(worker_token, task)
-            }));
-            // The receiver may be gone already (timeout) — ignore.
-            let _ = tx.send(result);
-        });
-    if spawned.is_err() {
-        return GuardedResult::TimedOut;
-    }
+    let mut message = (job, token.clone());
+    let worker = loop {
+        let pooled = idle_workers().pop();
+        let worker = match pooled {
+            Some(worker) => worker,
+            None => match start_worker() {
+                Ok(worker) => worker,
+                Err(e) => return worker_start_failed(&e),
+            },
+        };
+        match worker.jobs.send(message) {
+            Ok(()) => break worker,
+            // The worker's thread is gone; the job comes back unrun.
+            Err(mpsc::SendError(returned)) => message = returned,
+        }
+    };
     match rx.recv_timeout(timeout) {
-        Ok(Ok(value)) => GuardedResult::Done(value),
-        Ok(Err(payload)) => GuardedResult::Panicked(panic_payload_message(payload)),
+        Ok(outcome) => {
+            idle_workers().push(worker);
+            match outcome {
+                Ok(value) => GuardedResult::Done(value),
+                Err(payload) => GuardedResult::Panicked(panic_payload_message(payload)),
+            }
+        }
         Err(_) => {
             token.cancel();
+            // Dropping the job channel retires the worker: it exits
+            // once the abandoned job unwinds.
+            drop(worker);
             GuardedResult::TimedOut
         }
     }
 }
 
-/// Run a fallible attempt under the full policy: watchdog per attempt,
-/// up to `1 + max_retries` attempts with backoff in between.
+/// The policy's reading of one guarded attempt: the task's own result,
+/// or the failure the watchdog observed.
+fn attempt_result<T>(
+    outcome: GuardedResult<std::result::Result<T, Failure>>,
+    timeout: Duration,
+) -> std::result::Result<T, Failure> {
+    match outcome {
+        GuardedResult::Done(result) => result,
+        GuardedResult::Panicked(message) => Err(Failure::new(FailureKind::Panic, message)),
+        GuardedResult::TimedOut => {
+            Err(Failure::new(FailureKind::Timeout, format!("exceeded the {timeout:?} run budget")))
+        }
+        GuardedResult::WorkerStartFailed(message) => Err(Failure::new(FailureKind::Other, message)),
+    }
+}
+
+/// Run a fallible attempt under the full policy: each attempt through
+/// [`run_guarded`], up to `1 + max_retries` attempts with backoff in
+/// between.
 ///
 /// Returns the first success, or the *last* failure, plus the number of
 /// attempts actually made (quarantine logic counts these as strikes).
@@ -324,14 +405,10 @@ where
         }
         attempts += 1;
         sintel_obs::counter_add("sintel_run_attempts_total", 1);
-        let failure = match run_guarded(policy.timeout, attempt.clone()) {
-            GuardedResult::Done(Ok(value)) => return (Ok(value), attempts),
-            GuardedResult::Done(Err(failure)) => failure,
-            GuardedResult::Panicked(message) => Failure::new(FailureKind::Panic, message),
-            GuardedResult::TimedOut => Failure::new(
-                FailureKind::Timeout,
-                format!("exceeded the {:?} run budget", policy.timeout),
-            ),
+        let outcome = run_guarded(policy.timeout, attempt.clone());
+        let failure = match attempt_result(outcome, policy.timeout) {
+            Ok(value) => return (Ok(value), attempts),
+            Err(failure) => failure,
         };
         sintel_obs::counter_add(
             &sintel_obs::labeled("sintel_run_failures_total", &[("kind", failure.kind.label())]),
@@ -404,6 +481,34 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(stopped.load(Ordering::SeqCst), 1, "worker never saw the cancel");
+    }
+
+    /// A worker that cannot be started is an `Other` failure carrying
+    /// the operating system's error, never a timeout: a timeout would
+    /// move a healthy serve tenant onto its fallback template.
+    #[test]
+    fn worker_start_failure_is_not_a_timeout() {
+        let err =
+            std::io::Error::new(std::io::ErrorKind::WouldBlock, "Resource temporarily unavailable");
+        let outcome = worker_start_failed::<Result<u32, Failure>>(&err);
+        assert!(matches!(&outcome, GuardedResult::WorkerStartFailed(m)
+            if m.contains("Resource temporarily unavailable")));
+        let failure = attempt_result(outcome, Duration::from_secs(1)).unwrap_err();
+        assert_eq!(failure.kind, FailureKind::Other);
+        assert!(failure.message.contains("Resource temporarily unavailable"), "{failure}");
+    }
+
+    #[test]
+    fn attempt_result_maps_each_outcome() {
+        let budget = Duration::from_millis(5);
+        assert_eq!(attempt_result(GuardedResult::Done(Ok::<u32, Failure>(3)), budget), Ok(3));
+        let kind = |outcome| attempt_result::<u32>(outcome, budget).unwrap_err().kind;
+        assert_eq!(kind(GuardedResult::Panicked("boom".into())), FailureKind::Panic);
+        assert_eq!(kind(GuardedResult::TimedOut), FailureKind::Timeout);
+        assert_eq!(
+            kind(GuardedResult::Done(Err(Failure::new(FailureKind::NonFinite, "nan")))),
+            FailureKind::NonFinite
+        );
     }
 
     #[test]

@@ -149,13 +149,18 @@ pub trait Primitive: Send {
     /// Incremental (streaming) production over a buffered chunk.
     ///
     /// The serving tier feeds a sliding-window context through this
-    /// path instead of `produce`. The default implementation falls back
-    /// to batch [`Primitive::produce`] over the buffered window, so
-    /// every existing primitive works unchanged and batch `fit`/`detect`
+    /// path instead of `produce`. A serve pass is one executor run
+    /// (`Pipeline::fit_detect_incremental`): each step's `fit` is
+    /// followed directly by its `update`, and no `produce` runs at all,
+    /// so `update` must emit the same outputs `produce` would. The
+    /// default implementation falls back to batch
+    /// [`Primitive::produce`] over the buffered window, so every
+    /// existing primitive works unchanged and batch `fit`/`detect`
     /// behaviour stays bitwise-identical (enforced by the streaming
-    /// purity test). Primitives with genuinely incremental algorithms
-    /// (rolling aggregates, online scalers, EWMA residuals) may
-    /// override it to reuse state across chunks.
+    /// purity test and the incremental-vs-refit oracle). Primitives
+    /// with genuinely incremental algorithms (rolling aggregates,
+    /// online scalers, EWMA residuals) may override it to reuse state
+    /// across chunks.
     fn update(&mut self, ctx: &Context) -> Result<Vec<(String, Value)>> {
         self.produce(ctx)
     }

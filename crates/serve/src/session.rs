@@ -267,8 +267,7 @@ impl TenantSession {
                 Failure::new(classify_pipeline_error(e), e.to_string())
             };
             let mut pipeline = chosen.build_default().map_err(|e| fail(&e))?;
-            pipeline.fit(&snapshot).map_err(|e| fail(&e))?;
-            pipeline.detect_incremental(&snapshot).map_err(|e| fail(&e))
+            pipeline.fit_detect_incremental(&snapshot).map_err(|e| fail(&e))
         };
         report.passes_run += 1;
         let span = sintel_obs::span_with(
