@@ -33,11 +33,16 @@ fn substrate_benches(c: &mut Criterion) {
 
     c.bench_function("lstm_forward_backward_w50_h20", |b| {
         let mut lstm = sintel_nn::Lstm::new(1, 20, &mut SintelRng::seed_from_u64(2));
-        let xs: Vec<Vec<f64>> = (0..50).map(|t| vec![(t as f64 * 0.1).sin()]).collect();
+        let xs: Vec<f64> = (0..50).map(|t| (t as f64 * 0.1).sin()).collect();
+        let mut tape = sintel_nn::LstmTape::new();
+        let mut dh = Vec::new();
         b.iter(|| {
-            let cache = lstm.forward(black_box(&xs));
-            let dh: Vec<Vec<f64>> = cache.hidden_states().to_vec();
-            black_box(lstm.backward(&cache, &dh));
+            let seq = sintel_nn::Seq::flat(black_box(&xs), 1);
+            lstm.forward_tape(seq, &mut tape);
+            dh.clear();
+            dh.extend_from_slice(tape.hidden_states());
+            lstm.backward_tape(seq, &mut tape, sintel_nn::HiddenGrad::Every(&dh), None);
+            black_box(lstm.grads());
             lstm.zero_grad();
         });
     });

@@ -57,6 +57,13 @@ impl Dense {
         self.w.len() + self.b.len()
     }
 
+    /// Raw weight (row-major `out_dim x in_dim`) and bias buffers —
+    /// exposed for the property suite only.
+    #[doc(hidden)]
+    pub fn params(&self) -> [&[f64]; 2] {
+        [&self.w, &self.b]
+    }
+
     /// Forward pass for one sample.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.out_dim];

@@ -38,7 +38,7 @@ pub mod models;
 pub use activation::Activation;
 pub use adam::Adam;
 pub use dense::Dense;
-pub use lstm::{Lstm, LstmState};
+pub use lstm::{HiddenGrad, Lstm, LstmState, LstmTape, Seq};
 pub use models::{DenseAutoencoder, LstmAutoencoder, LstmRegressor, TadGan, TrainConfig};
 
 /// Errors produced by model training / inference.

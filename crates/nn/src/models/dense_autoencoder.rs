@@ -6,7 +6,7 @@ use sintel_linalg::Matrix;
 
 use crate::activation::Activation;
 use crate::dense::Dense;
-use crate::models::TrainConfig;
+use crate::models::{check_batch_size, TrainConfig};
 use crate::{NnError, Result};
 
 /// Feed-forward autoencoder `in -> h -> z -> h -> in`.
@@ -71,6 +71,7 @@ impl DenseAutoencoder {
 
     /// Train on windows (target = input); returns mean loss per epoch.
     pub fn fit(&mut self, windows: &Matrix, cfg: &TrainConfig) -> Result<Vec<f64>> {
+        check_batch_size(cfg)?;
         if windows.rows() == 0 {
             return Err(NnError::InsufficientData { needed: 1, got: 0 });
         }
@@ -173,6 +174,15 @@ mod tests {
         assert!(model.reconstruct(&[0.0; 3]).is_err());
         assert!(model.encode(&[0.0; 9]).is_err());
         assert!(model.fit(&Matrix::zeros(0, 8), &TrainConfig::fast_test()).is_err());
+    }
+
+    #[test]
+    fn zero_batch_size_is_rejected_before_training() {
+        let mut model = DenseAutoencoder::new(4, 3, 2, 0);
+        let windows = Matrix::from_rows(&[vec![0.1; 4], vec![0.2; 4]]);
+        let cfg = TrainConfig { batch_size: 0, ..TrainConfig::fast_test() };
+        let got = model.fit(&windows, &cfg);
+        assert!(matches!(got, Err(NnError::InvalidParameter(_))), "{got:?}");
     }
 
     #[test]

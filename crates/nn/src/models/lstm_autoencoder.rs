@@ -9,8 +9,8 @@ use sintel_linalg::Matrix;
 
 use crate::activation::Activation;
 use crate::dense::Dense;
-use crate::lstm::Lstm;
-use crate::models::{unflatten, TrainConfig};
+use crate::lstm::{HiddenGrad, Lstm, LstmTape, Seq};
+use crate::models::{check_batch_size, TrainConfig};
 use crate::{NnError, Result};
 
 /// Sequence-to-sequence LSTM autoencoder.
@@ -42,6 +42,14 @@ impl LstmAutoencoder {
         self.enc.param_count() + self.dec.param_count() + self.head.param_count()
     }
 
+    /// Every parameter buffer in a fixed order (encoder, decoder, head
+    /// weights, head bias) — exposed for the property suite only.
+    #[doc(hidden)]
+    pub fn params(&self) -> Vec<&[f64]> {
+        let [hw, hb] = self.head.params();
+        vec![self.enc.weights(), self.dec.weights(), hw, hb]
+    }
+
     fn check_window(&self, w: &[f64]) -> Result<()> {
         if w.len() != self.window * self.channels {
             return Err(NnError::ShapeMismatch {
@@ -55,29 +63,38 @@ impl LstmAutoencoder {
     /// Reconstruct a window; returns the flattened reconstruction.
     pub fn reconstruct(&self, window: &[f64]) -> Result<Vec<f64>> {
         self.check_window(window)?;
-        let xs = unflatten(window, self.channels);
-        let enc_cache = self.enc.forward(&xs);
-        let code = enc_cache.last_hidden().to_vec();
-        let dec_inputs = vec![code; xs.len()];
-        let dec_cache = self.dec.forward(&dec_inputs);
-        let mut out = Vec::with_capacity(window.len());
-        for h in dec_cache.hidden_states() {
-            out.extend(self.head.forward(h));
+        let (mut enc_tape, mut dec_tape) = (LstmTape::new(), LstmTape::new());
+        self.enc.forward_tape(Seq::flat(window, self.channels), &mut enc_tape);
+        self.dec.forward_tape(Seq::repeat(enc_tape.last_hidden(), self.window), &mut dec_tape);
+        let mut out = vec![0.0; window.len()];
+        let hidden = self.enc.hidden_size();
+        for (h, y) in
+            dec_tape.hidden_states().chunks_exact(hidden).zip(out.chunks_exact_mut(self.channels))
+        {
+            self.head.forward_into(h, y);
         }
         Ok(out)
     }
 
     /// Train on windows (reconstruction target = input); returns mean
-    /// loss per epoch.
+    /// loss per epoch. Encoder and decoder train through one reusable
+    /// [`LstmTape`] each (DESIGN.md §4j).
     pub fn fit(&mut self, windows: &Matrix, cfg: &TrainConfig) -> Result<Vec<f64>> {
+        check_batch_size(cfg)?;
         if windows.rows() == 0 {
             return Err(NnError::InsufficientData { needed: 1, got: 0 });
         }
         self.check_window(windows.row(0))?;
-        let hidden = self.enc.hidden_size();
+        let (hidden, channels, t_len) = (self.enc.hidden_size(), self.channels, self.window);
         let mut rng = SintelRng::seed_from_u64(cfg.seed);
         let mut order: Vec<usize> = (0..windows.rows()).collect();
         let mut epoch_losses = Vec::with_capacity(cfg.epochs);
+        let (mut enc_tape, mut dec_tape) = (LstmTape::new(), LstmTape::new());
+        let mut code = vec![0.0; hidden];
+        let mut dcode = vec![0.0; hidden];
+        let mut dh_dec = vec![0.0; t_len * hidden];
+        let mut dx_dec = vec![0.0; t_len * hidden];
+        let (mut y, mut dy) = (vec![0.0; channels], vec![0.0; channels]);
 
         for _ in 0..cfg.epochs {
             if sintel_common::cancelled() {
@@ -87,39 +104,44 @@ impl LstmAutoencoder {
             let mut epoch_loss = 0.0;
             for chunk in order.chunks(cfg.batch_size) {
                 for &idx in chunk {
-                    let xs = unflatten(windows.row(idx), self.channels);
-                    let t_len = xs.len();
-                    let enc_cache = self.enc.forward(&xs);
-                    let code = enc_cache.last_hidden().to_vec();
-                    let dec_inputs = vec![code; t_len];
-                    let dec_cache = self.dec.forward(&dec_inputs);
+                    let window = windows.row(idx);
+                    let xs = Seq::flat(window, channels);
+                    self.enc.forward_tape(xs, &mut enc_tape);
+                    code.copy_from_slice(enc_tape.last_hidden());
+                    let dec_in = Seq::repeat(&code, t_len);
+                    self.dec.forward_tape(dec_in, &mut dec_tape);
 
                     // Per-step reconstruction + gradient through the head.
-                    let mut dh_dec = vec![vec![0.0; hidden]; t_len];
-                    for t in 0..t_len {
-                        let h = &dec_cache.hidden_states()[t];
-                        let y = self.head.forward(h);
-                        let mut dy = Vec::with_capacity(self.channels);
-                        for c in 0..self.channels {
-                            let err = y[c] - xs[t][c];
+                    let steps = dec_tape
+                        .hidden_states()
+                        .chunks_exact(hidden)
+                        .zip(window.chunks_exact(channels))
+                        .zip(dh_dec.chunks_exact_mut(hidden));
+                    for ((h, x_t), dh) in steps {
+                        self.head.forward_into(h, &mut y);
+                        for ((d, &yc), &xc) in dy.iter_mut().zip(&y).zip(x_t) {
+                            let err = yc - xc;
                             epoch_loss += err * err;
-                            dy.push(2.0 * err / t_len as f64);
+                            *d = 2.0 * err / t_len as f64;
                         }
-                        dh_dec[t] = self.head.backward(h, &y, &dy);
+                        dh.copy_from_slice(&self.head.backward(h, &y, &dy));
                     }
                     // Through the decoder; its input at every step is the
                     // code, so the code's gradient is the sum over steps.
-                    let dxs_dec = self.dec.backward(&dec_cache, &dh_dec);
-                    let mut dcode = vec![0.0; hidden];
-                    for dx in &dxs_dec {
-                        for (k, v) in dx.iter().enumerate() {
-                            dcode[k] += v;
+                    self.dec.backward_tape(
+                        dec_in,
+                        &mut dec_tape,
+                        HiddenGrad::Every(&dh_dec),
+                        Some(&mut dx_dec),
+                    );
+                    dcode.fill(0.0);
+                    for dx in dx_dec.chunks_exact(hidden) {
+                        for (d, v) in dcode.iter_mut().zip(dx) {
+                            *d += v;
                         }
                     }
                     // Through the encoder (gradient only at the last step).
-                    let mut dh_enc = vec![vec![0.0; hidden]; t_len];
-                    dh_enc[t_len - 1] = dcode;
-                    self.enc.backward(&enc_cache, &dh_enc);
+                    self.enc.backward_tape(xs, &mut enc_tape, HiddenGrad::Last(&dcode), None);
                 }
                 self.enc.step(cfg.learning_rate, chunk.len());
                 self.dec.step(cfg.learning_rate, chunk.len());
@@ -194,5 +216,14 @@ mod tests {
         let mut model = LstmAutoencoder::new(8, 1, 4, 0);
         assert!(model.reconstruct(&[0.0; 5]).is_err());
         assert!(model.fit(&Matrix::zeros(0, 8), &TrainConfig::fast_test()).is_err());
+    }
+
+    #[test]
+    fn zero_batch_size_is_rejected_before_training() {
+        let mut model = LstmAutoencoder::new(4, 1, 3, 0);
+        let windows = Matrix::from_rows(&[vec![0.1; 4], vec![0.2; 4]]);
+        let cfg = TrainConfig { batch_size: 0, ..TrainConfig::fast_test() };
+        let got = model.fit(&windows, &cfg);
+        assert!(matches!(got, Err(NnError::InvalidParameter(_))), "{got:?}");
     }
 }

@@ -8,8 +8,8 @@ use sintel_linalg::Matrix;
 
 use crate::activation::Activation;
 use crate::dense::Dense;
-use crate::lstm::{Lstm, LstmState};
-use crate::models::{unflatten, TrainConfig};
+use crate::lstm::{HiddenGrad, Lstm, LstmState, LstmTape, Seq};
+use crate::models::{check_batch_size, TrainConfig};
 use crate::{NnError, Result};
 
 /// Double-stacked LSTM next-value predictor.
@@ -52,6 +52,14 @@ impl LstmRegressor {
         self.l1.param_count() + self.l2.param_count() + self.head.param_count()
     }
 
+    /// Every parameter buffer in a fixed order (bottom LSTM, top LSTM,
+    /// head weights, head bias) — exposed for the property suite only.
+    #[doc(hidden)]
+    pub fn params(&self) -> Vec<&[f64]> {
+        let [hw, hb] = self.head.params();
+        vec![self.l1.weights(), self.l2.weights(), hw, hb]
+    }
+
     fn check_window(&self, w: &[f64]) -> Result<()> {
         if w.len() != self.window * self.channels {
             return Err(NnError::ShapeMismatch {
@@ -74,8 +82,8 @@ impl LstmRegressor {
     }
 
     /// One forward pass on the flat inference path, reusing `scratch`.
-    /// Bitwise-identical to the cache-path forward used in training:
-    /// both run the same fused LSTM step and Dense kernel.
+    /// Bitwise-identical to the tape forward used in training: both run
+    /// the same fused LSTM step and Dense kernel.
     fn predict_with(&self, window: &[f64], scratch: &mut PredictScratch) -> f64 {
         self.l1.forward_flat(window, &mut scratch.s1, Some(&mut scratch.hs1));
         self.l2.forward_flat(&scratch.hs1, &mut scratch.s2, None);
@@ -152,12 +160,17 @@ impl LstmRegressor {
 
     /// Train on `(window, next value)` pairs; returns the mean training
     /// loss per epoch.
+    ///
+    /// Both layers train through one reusable [`LstmTape`] each, the
+    /// top layer reading the bottom one's hidden states in place, so
+    /// training allocates nothing per step (DESIGN.md §4j).
     pub fn fit(
         &mut self,
         windows: &Matrix,
         targets: &[f64],
         cfg: &TrainConfig,
     ) -> Result<Vec<f64>> {
+        check_batch_size(cfg)?;
         if windows.rows() != targets.len() {
             return Err(NnError::ShapeMismatch {
                 expected: format!("{} targets", windows.rows()),
@@ -172,6 +185,10 @@ impl LstmRegressor {
         let mut rng = SintelRng::seed_from_u64(cfg.seed);
         let mut order: Vec<usize> = (0..windows.rows()).collect();
         let mut epoch_losses = Vec::with_capacity(cfg.epochs);
+        let (mut tape1, mut tape2) = (LstmTape::new(), LstmTape::new());
+        // Gradient into the bottom layer's hidden states (`T x H`).
+        let mut dh1 = vec![0.0; self.window * hidden];
+        let mut y = vec![0.0; 1];
 
         for _ in 0..cfg.epochs {
             // Cooperative cancellation: a watchdogged run whose budget
@@ -183,19 +200,23 @@ impl LstmRegressor {
             let mut epoch_loss = 0.0;
             for chunk in order.chunks(cfg.batch_size) {
                 for &idx in chunk {
-                    let xs = unflatten(windows.row(idx), self.channels);
-                    let c1 = self.l1.forward(&xs);
-                    let c2 = self.l2.forward(c1.hidden_states());
-                    let y = self.head.forward(c2.last_hidden());
+                    let xs = Seq::flat(windows.row(idx), self.channels);
+                    self.l1.forward_tape(xs, &mut tape1);
+                    let hs1 = Seq::flat(tape1.hidden_states(), hidden);
+                    self.l2.forward_tape(hs1, &mut tape2);
+                    self.head.forward_into(tape2.last_hidden(), &mut y);
                     let err = y[0] - targets[idx];
                     epoch_loss += err * err;
 
                     // Backward: head -> top LSTM (last step) -> bottom LSTM.
-                    let dlast = self.head.backward(c2.last_hidden(), &y, &[2.0 * err]);
-                    let mut dh2 = vec![vec![0.0; hidden]; xs.len()];
-                    dh2[xs.len() - 1] = dlast;
-                    let dh1 = self.l2.backward(&c2, &dh2);
-                    self.l1.backward(&c1, &dh1);
+                    let dlast = self.head.backward(tape2.last_hidden(), &y, &[2.0 * err]);
+                    self.l2.backward_tape(
+                        hs1,
+                        &mut tape2,
+                        HiddenGrad::Last(&dlast),
+                        Some(&mut dh1),
+                    );
+                    self.l1.backward_tape(xs, &mut tape1, HiddenGrad::Every(&dh1), None);
                 }
                 self.l1.step(cfg.learning_rate, chunk.len());
                 self.l2.step(cfg.learning_rate, chunk.len());
@@ -253,6 +274,18 @@ mod tests {
         let bad = Matrix::from_rows(&[vec![0.0; 5]]);
         assert!(model.fit(&bad, &[1.0], &TrainConfig::fast_test()).is_err());
         assert!(model.predict_batch(&bad).is_err());
+    }
+
+    #[test]
+    fn zero_batch_size_is_rejected_before_training() {
+        let mut model = LstmRegressor::new(4, 1, 3, 0);
+        let before: Vec<Vec<f64>> = model.params().iter().map(|p| p.to_vec()).collect();
+        let windows = Matrix::from_rows(&[vec![0.1; 4], vec![0.2; 4]]);
+        let cfg = TrainConfig { batch_size: 0, ..TrainConfig::fast_test() };
+        let got = model.fit(&windows, &[0.0, 1.0], &cfg);
+        assert!(matches!(got, Err(NnError::InvalidParameter(_))), "{got:?}");
+        let after: Vec<Vec<f64>> = model.params().iter().map(|p| p.to_vec()).collect();
+        assert_eq!(before, after, "a rejected fit must leave the weights untouched");
     }
 
     #[test]

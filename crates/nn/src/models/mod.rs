@@ -41,24 +41,17 @@ impl TrainConfig {
     }
 }
 
-/// Split a flat window back into per-step channel vectors.
-pub(crate) fn unflatten(window: &[f64], channels: usize) -> Vec<Vec<f64>> {
-    debug_assert_eq!(window.len() % channels, 0, "window not divisible by channels");
-    window.chunks(channels).map(|c| c.to_vec()).collect()
+/// Reject a zero mini-batch size before any training work runs.
+pub(crate) fn check_batch_size(cfg: &TrainConfig) -> crate::Result<()> {
+    if cfg.batch_size == 0 {
+        return Err(crate::NnError::InvalidParameter("batch_size must be at least 1".into()));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unflatten_shapes() {
-        let w = [1.0, 10.0, 2.0, 20.0, 3.0, 30.0];
-        let steps = unflatten(&w, 2);
-        assert_eq!(steps, vec![vec![1.0, 10.0], vec![2.0, 20.0], vec![3.0, 30.0]]);
-        let uni = unflatten(&w, 1);
-        assert_eq!(uni.len(), 6);
-    }
 
     #[test]
     fn default_config_sane() {

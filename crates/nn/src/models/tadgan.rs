@@ -27,8 +27,8 @@ use sintel_linalg::Matrix;
 
 use crate::activation::Activation;
 use crate::dense::Dense;
-use crate::lstm::Lstm;
-use crate::models::{unflatten, TrainConfig};
+use crate::lstm::{HiddenGrad, Lstm, LstmTape, Seq};
+use crate::models::{check_batch_size, TrainConfig};
 use crate::{NnError, Result};
 
 /// Number of critic updates per encoder/generator update (WGAN-style).
@@ -83,6 +83,25 @@ impl Mlp {
     fn param_count(&self) -> usize {
         self.l1.param_count() + self.l2.param_count()
     }
+
+    fn params(&self) -> [&[f64]; 4] {
+        let [w1, b1] = self.l1.params();
+        let [w2, b2] = self.l2.params();
+        [w1, b1, w2, b2]
+    }
+}
+
+/// Reusable training buffers: one [`LstmTape`] per recurrent network
+/// plus the decoder's gradient buffers (DESIGN.md §4j).
+struct Scratch {
+    enc: LstmTape,
+    gen: LstmTape,
+    /// Gradient into the generator's hidden states (`window x hidden`).
+    dh_dec: Vec<f64>,
+    /// Gradient into the generator's inputs (`window x latent`).
+    dx_dec: Vec<f64>,
+    /// The latent code's gradient, summed over the generator's steps.
+    dz: Vec<f64>,
 }
 
 /// The TadGAN model over flattened windows.
@@ -131,6 +150,21 @@ impl TadGan {
             + self.critic_z.param_count()
     }
 
+    /// Every parameter buffer in a fixed order (encoder LSTM and head,
+    /// generator LSTM and head, critic `Cx`, critic `Cz`; each dense
+    /// layer as weights then bias) — exposed for the property suite
+    /// only.
+    #[doc(hidden)]
+    pub fn params(&self) -> Vec<&[f64]> {
+        let mut out = vec![self.enc_lstm.weights()];
+        out.extend(self.enc_head.params());
+        out.push(self.gen_lstm.weights());
+        out.extend(self.gen_head.params());
+        out.extend(self.critic_x.params());
+        out.extend(self.critic_z.params());
+        out
+    }
+
     fn check(&self, w: &[f64]) -> Result<()> {
         if w.len() != self.window * self.channels {
             return Err(NnError::ShapeMismatch {
@@ -142,19 +176,20 @@ impl TadGan {
     }
 
     /// Encode a window to its latent code.
-    fn encode(&self, window: &[f64]) -> Vec<f64> {
-        let xs = unflatten(window, self.channels);
-        let cache = self.enc_lstm.forward(&xs);
-        self.enc_head.forward(cache.last_hidden())
+    fn encode(&self, window: &[f64], tape: &mut LstmTape) -> Vec<f64> {
+        self.enc_lstm.forward_tape(Seq::flat(window, self.channels), tape);
+        self.enc_head.forward(tape.last_hidden())
     }
 
     /// Decode a latent code to a flattened window.
-    fn decode(&self, z: &[f64]) -> Vec<f64> {
-        let inputs = vec![z.to_vec(); self.window];
-        let cache = self.gen_lstm.forward(&inputs);
-        let mut out = Vec::with_capacity(self.window * self.channels);
-        for h in cache.hidden_states() {
-            out.extend(self.gen_head.forward(h));
+    fn decode(&self, z: &[f64], tape: &mut LstmTape) -> Vec<f64> {
+        self.gen_lstm.forward_tape(Seq::repeat(z, self.window), tape);
+        let mut out = vec![0.0; self.window * self.channels];
+        let hidden = self.gen_lstm.hidden_size();
+        for (h, y) in
+            tape.hidden_states().chunks_exact(hidden).zip(out.chunks_exact_mut(self.channels))
+        {
+            self.gen_head.forward_into(h, y);
         }
         out
     }
@@ -162,7 +197,9 @@ impl TadGan {
     /// Cycle reconstruction `G(E(x))`.
     pub fn reconstruct(&self, window: &[f64]) -> Result<Vec<f64>> {
         self.check(window)?;
-        Ok(self.decode(&self.encode(window)))
+        let mut tape = LstmTape::new();
+        let z = self.encode(window, &mut tape);
+        Ok(self.decode(&z, &mut tape))
     }
 
     /// Raw critic output for a window: *lower* means the critic finds the
@@ -189,45 +226,52 @@ impl TadGan {
     /// Encoder/generator backward pass for the reconstruction objective;
     /// accumulates gradients in all four E/G components and returns the
     /// per-window reconstruction MSE.
-    fn backward_reconstruction(&mut self, window: &[f64]) -> f64 {
+    fn backward_reconstruction(&mut self, window: &[f64], s: &mut Scratch) -> f64 {
         let hidden = self.enc_lstm.hidden_size();
-        let xs = unflatten(window, self.channels);
-        let enc_cache = self.enc_lstm.forward(&xs);
-        let z = self.enc_head.forward(enc_cache.last_hidden());
-        let dec_inputs = vec![z.clone(); self.window];
-        let dec_cache = self.gen_lstm.forward(&dec_inputs);
+        let xs = Seq::flat(window, self.channels);
+        self.enc_lstm.forward_tape(xs, &mut s.enc);
+        let z = self.enc_head.forward(s.enc.last_hidden());
+        let dec_in = Seq::repeat(&z, self.window);
+        self.gen_lstm.forward_tape(dec_in, &mut s.gen);
 
         let n = window.len() as f64;
         let mut recon = 0.0;
-        let mut dh_dec = vec![vec![0.0; hidden]; self.window];
-        for t in 0..self.window {
-            let h = &dec_cache.hidden_states()[t];
+        let steps = s
+            .gen
+            .hidden_states()
+            .chunks_exact(hidden)
+            .zip(window.chunks_exact(self.channels))
+            .zip(s.dh_dec.chunks_exact_mut(hidden));
+        for ((h, x_t), dh) in steps {
             let y = self.gen_head.forward(h);
             let mut dy = Vec::with_capacity(self.channels);
-            for c in 0..self.channels {
-                let err = y[c] - xs[t][c];
+            for (&yc, &xc) in y.iter().zip(x_t) {
+                let err = yc - xc;
                 recon += err * err;
                 dy.push(RECON_WEIGHT * 2.0 * err / n);
             }
-            dh_dec[t] = self.gen_head.backward(h, &y, &dy);
+            dh.copy_from_slice(&self.gen_head.backward(h, &y, &dy));
         }
-        let dxs_dec = self.gen_lstm.backward(&dec_cache, &dh_dec);
-        let mut dz = vec![0.0; self.latent];
-        for dx in &dxs_dec {
-            for (k, v) in dx.iter().enumerate() {
-                dz[k] += v;
+        self.gen_lstm.backward_tape(
+            dec_in,
+            &mut s.gen,
+            HiddenGrad::Every(&s.dh_dec),
+            Some(&mut s.dx_dec),
+        );
+        s.dz.fill(0.0);
+        for dx in s.dx_dec.chunks_exact(self.latent) {
+            for (d, v) in s.dz.iter_mut().zip(dx) {
+                *d += v;
             }
         }
-        let dh_enc_last =
-            self.enc_head.backward(enc_cache.last_hidden(), &z, &dz);
-        let mut dh_enc = vec![vec![0.0; hidden]; xs.len()];
-        dh_enc[xs.len() - 1] = dh_enc_last;
-        self.enc_lstm.backward(&enc_cache, &dh_enc);
+        let dh_enc_last = self.enc_head.backward(s.enc.last_hidden(), &z, &s.dz);
+        self.enc_lstm.backward_tape(xs, &mut s.enc, HiddenGrad::Last(&dh_enc_last), None);
         recon / n
     }
 
     /// Adversarial training; returns the mean reconstruction loss per epoch.
     pub fn fit(&mut self, windows: &Matrix, cfg: &TrainConfig) -> Result<Vec<f64>> {
+        check_batch_size(cfg)?;
         if windows.rows() < 2 {
             return Err(NnError::InsufficientData { needed: 2, got: windows.rows() });
         }
@@ -236,6 +280,13 @@ impl TadGan {
         let mut rng = SintelRng::seed_from_u64(cfg.seed ^ self.seed);
         let mut order: Vec<usize> = (0..windows.rows()).collect();
         let mut epoch_losses = Vec::with_capacity(cfg.epochs);
+        let mut s = Scratch {
+            enc: LstmTape::new(),
+            gen: LstmTape::new(),
+            dh_dec: vec![0.0; self.window * hidden],
+            dx_dec: vec![0.0; self.window * self.latent],
+            dz: vec![0.0; self.latent],
+        };
 
         for _ in 0..cfg.epochs {
             if sintel_common::cancelled() {
@@ -253,13 +304,13 @@ impl TadGan {
                         // Cx: maximise Cx(x) - Cx(G(z)).
                         let (hx, yx) = self.critic_x.forward(x);
                         self.critic_x.backward(x, &hx, &yx, &[-1.0]);
-                        let fake_x = self.decode(&z_prior);
+                        let fake_x = self.decode(&z_prior, &mut s.gen);
                         let (hf, yf) = self.critic_x.forward(&fake_x);
                         self.critic_x.backward(&fake_x, &hf, &yf, &[1.0]);
                         // Cz: maximise Cz(z_prior) - Cz(E(x)).
                         let (hz, yz) = self.critic_z.forward(&z_prior);
                         self.critic_z.backward(&z_prior, &hz, &yz, &[-1.0]);
-                        let enc_z = self.encode(x);
+                        let enc_z = self.encode(x, &mut s.enc);
                         let (he, ye) = self.critic_z.forward(&enc_z);
                         self.critic_z.backward(&enc_z, &he, &ye, &[1.0]);
                     }
@@ -272,41 +323,46 @@ impl TadGan {
                 // ---- encoder / generator update ----
                 for &idx in chunk {
                     let x = windows.row(idx);
-                    epoch_recon += self.backward_reconstruction(x);
+                    epoch_recon += self.backward_reconstruction(x, &mut s);
 
                     // Generator fools Cx: minimise -Cx(G(z_prior)).
                     let z_prior: Vec<f64> =
                         (0..self.latent).map(|_| rng.normal(0.0, 1.0)).collect();
-                    let dec_inputs = vec![z_prior.clone(); self.window];
-                    let dec_cache = self.gen_lstm.forward(&dec_inputs);
+                    let dec_in = Seq::repeat(&z_prior, self.window);
+                    self.gen_lstm.forward_tape(dec_in, &mut s.gen);
                     let mut fake_x = Vec::with_capacity(self.window * self.channels);
-                    for h in dec_cache.hidden_states() {
+                    for h in s.gen.hidden_states().chunks_exact(hidden) {
                         fake_x.extend(self.gen_head.forward(h));
                     }
                     let (hc, yc) = self.critic_x.forward(&fake_x);
                     let dfake = self.critic_x.backward(&fake_x, &hc, &yc, &[-1.0]);
                     self.critic_x.zero_grad(); // critic frozen in this phase
-                    let mut dh_dec = vec![vec![0.0; hidden]; self.window];
-                    for t in 0..self.window {
-                        let h = &dec_cache.hidden_states()[t];
+                    let steps = s
+                        .gen
+                        .hidden_states()
+                        .chunks_exact(hidden)
+                        .zip(dfake.chunks_exact(self.channels))
+                        .zip(s.dh_dec.chunks_exact_mut(hidden));
+                    for ((h, dy), dh) in steps {
                         let y = self.gen_head.forward(h);
-                        let dy = &dfake[t * self.channels..(t + 1) * self.channels];
-                        dh_dec[t] = self.gen_head.backward(h, &y, dy);
+                        dh.copy_from_slice(&self.gen_head.backward(h, &y, dy));
                     }
-                    self.gen_lstm.backward(&dec_cache, &dh_dec);
+                    self.gen_lstm.backward_tape(
+                        dec_in,
+                        &mut s.gen,
+                        HiddenGrad::Every(&s.dh_dec),
+                        None,
+                    );
 
                     // Encoder fools Cz: minimise -Cz(E(x)).
-                    let xs = unflatten(x, self.channels);
-                    let enc_cache = self.enc_lstm.forward(&xs);
-                    let z2 = self.enc_head.forward(enc_cache.last_hidden());
+                    let xs = Seq::flat(x, self.channels);
+                    self.enc_lstm.forward_tape(xs, &mut s.enc);
+                    let z2 = self.enc_head.forward(s.enc.last_hidden());
                     let (hcz, ycz) = self.critic_z.forward(&z2);
                     let dz2 = self.critic_z.backward(&z2, &hcz, &ycz, &[-1.0]);
                     self.critic_z.zero_grad();
-                    let dh_last =
-                        self.enc_head.backward(enc_cache.last_hidden(), &z2, &dz2);
-                    let mut dh_enc = vec![vec![0.0; hidden]; xs.len()];
-                    dh_enc[xs.len() - 1] = dh_last;
-                    self.enc_lstm.backward(&enc_cache, &dh_enc);
+                    let dh_last = self.enc_head.backward(s.enc.last_hidden(), &z2, &dz2);
+                    self.enc_lstm.backward_tape(xs, &mut s.enc, HiddenGrad::Last(&dh_last), None);
                 }
                 self.enc_lstm.step(cfg.learning_rate, chunk.len());
                 self.enc_head.step(cfg.learning_rate, chunk.len());
@@ -386,6 +442,15 @@ mod tests {
         assert!(model.reconstruct(&[0.0; 4]).is_err());
         assert!(model.critic_score(&[0.0; 9]).is_err());
         assert!(model.fit(&Matrix::from_rows(&[vec![0.0; 8]]), &TrainConfig::fast_test()).is_err());
+    }
+
+    #[test]
+    fn zero_batch_size_is_rejected_before_training() {
+        let mut model = TadGan::new(4, 1, 3, 2, 0);
+        let windows = Matrix::from_rows(&[vec![0.1; 4], vec![0.2; 4]]);
+        let cfg = TrainConfig { batch_size: 0, ..TrainConfig::fast_test() };
+        let got = model.fit(&windows, &cfg);
+        assert!(matches!(got, Err(NnError::InvalidParameter(_))), "{got:?}");
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! Because primitives are modular, each drops into existing pipelines
 //! without modifying them — the extensibility claim (C2) in action.
 
+use std::sync::OnceLock;
+
 use sintel_stats::{change_points, decompose, estimate_period, matrix_profile, HoltWinters};
 use sintel_timeseries::Signal;
 
@@ -36,7 +38,7 @@ fn algo(e: impl std::fmt::Display) -> PrimitiveError {
 /// found, the primitive passes the signal through unchanged.
 #[derive(Debug)]
 pub struct Detrend {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     period: usize,
     fitted_period: Option<usize>,
 }
@@ -44,15 +46,18 @@ pub struct Detrend {
 impl Detrend {
     /// Create with automatic period estimation.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "detrend",
-                Engine::Preprocessing,
-                "subtract an STL-style trend + seasonal component",
-                &["signal"],
-                &["signal"],
-                vec![HyperSpec::int("period", 0, 10_000, 0).fixed()],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "detrend",
+                    Engine::Preprocessing,
+                    "subtract an STL-style trend + seasonal component",
+                    &["signal"],
+                    &["signal"],
+                    vec![HyperSpec::int("period", 0, 10_000, 0).fixed()],
+                )
+            }),
             period: 0,
             fitted_period: None,
         }
@@ -67,7 +72,7 @@ impl Default for Detrend {
 
 impl Primitive for Detrend {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -116,7 +121,7 @@ impl Primitive for Detrend {
 /// leaving transient anomalies intact.
 #[derive(Debug)]
 pub struct RemoveLevelShifts {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     penalty: f64,
     max_points: usize,
     min_segment: usize,
@@ -125,21 +130,24 @@ pub struct RemoveLevelShifts {
 impl RemoveLevelShifts {
     /// Create with a conservative penalty (only strong shifts removed).
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "remove_level_shifts",
-                Engine::Preprocessing,
-                "change-point segmentation + per-segment mean removal",
-                &["signal"],
-                &["signal"],
-                vec![
-                    HyperSpec::float("penalty", 0.001, 1.0, 0.08),
-                    HyperSpec::int("max_points", 1, 16, 4),
-                    // Segments shorter than this are transient anomalies,
-                    // not distribution shifts — leave them intact.
-                    HyperSpec::int("min_segment", 8, 1000, 60),
-                ],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "remove_level_shifts",
+                    Engine::Preprocessing,
+                    "change-point segmentation + per-segment mean removal",
+                    &["signal"],
+                    &["signal"],
+                    vec![
+                        HyperSpec::float("penalty", 0.001, 1.0, 0.08),
+                        HyperSpec::int("max_points", 1, 16, 4),
+                        // Segments shorter than this are transient anomalies,
+                        // not distribution shifts — leave them intact.
+                        HyperSpec::int("min_segment", 8, 1000, 60),
+                    ],
+                )
+            }),
             penalty: 0.08,
             max_points: 4,
             min_segment: 60,
@@ -155,7 +163,7 @@ impl Default for RemoveLevelShifts {
 
 impl Primitive for RemoveLevelShifts {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -208,22 +216,25 @@ impl Primitive for RemoveLevelShifts {
 /// thresholding postprocessing.
 #[derive(Debug)]
 pub struct MatrixProfilePrimitive {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     window: usize,
 }
 
 impl MatrixProfilePrimitive {
     /// Create with a 32-sample subsequence length.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "matrix_profile",
-                Engine::Modeling,
-                "nearest-neighbour subsequence distances (discord mining)",
-                &["signal"],
-                &["errors", "error_timestamps"],
-                vec![HyperSpec::int("window", 8, 256, 32)],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "matrix_profile",
+                    Engine::Modeling,
+                    "nearest-neighbour subsequence distances (discord mining)",
+                    &["signal"],
+                    &["errors", "error_timestamps"],
+                    vec![HyperSpec::int("window", 8, 256, 32)],
+                )
+            }),
             window: 32,
         }
     }
@@ -237,7 +248,7 @@ impl Default for MatrixProfilePrimitive {
 
 impl Primitive for MatrixProfilePrimitive {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -265,7 +276,7 @@ impl Primitive for MatrixProfilePrimitive {
 /// `period = 0` auto-estimates the seasonality at fit time.
 #[derive(Debug)]
 pub struct HoltWintersPrimitive {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     alpha: f64,
     beta: f64,
     gamma: f64,
@@ -276,20 +287,23 @@ pub struct HoltWintersPrimitive {
 impl HoltWintersPrimitive {
     /// Create with conventional smoothing defaults and auto period.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "holt_winters",
-                Engine::Modeling,
-                "additive Holt-Winters one-step forecaster",
-                &["signal"],
-                &["predictions", "targets", "index_timestamps"],
-                vec![
-                    HyperSpec::float("alpha", 0.01, 1.0, 0.3),
-                    HyperSpec::float("beta", 0.0, 1.0, 0.05),
-                    HyperSpec::float("gamma", 0.0, 1.0, 0.2),
-                    HyperSpec::int("period", 0, 10_000, 0).fixed(),
-                ],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "holt_winters",
+                    Engine::Modeling,
+                    "additive Holt-Winters one-step forecaster",
+                    &["signal"],
+                    &["predictions", "targets", "index_timestamps"],
+                    vec![
+                        HyperSpec::float("alpha", 0.01, 1.0, 0.3),
+                        HyperSpec::float("beta", 0.0, 1.0, 0.05),
+                        HyperSpec::float("gamma", 0.0, 1.0, 0.2),
+                        HyperSpec::int("period", 0, 10_000, 0).fixed(),
+                    ],
+                )
+            }),
             alpha: 0.3,
             beta: 0.05,
             gamma: 0.2,
@@ -307,7 +321,7 @@ impl Default for HoltWintersPrimitive {
 
 impl Primitive for HoltWintersPrimitive {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {

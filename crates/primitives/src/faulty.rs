@@ -22,6 +22,8 @@
 //! output guard applies to them, and they are only registered when the
 //! `faulty` feature is enabled — production registries never see them.
 
+use std::sync::OnceLock;
+
 use crate::context::{Context, Value};
 use crate::hyper::{HyperSpec, HyperValue};
 use crate::primitive::{Engine, Primitive, PrimitiveMeta};
@@ -29,21 +31,24 @@ use crate::{PrimitiveError, Result};
 
 /// Panics during `fit` — exercises `catch_unwind` containment.
 pub struct FaultyPanic {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
 }
 
 impl FaultyPanic {
     /// Construct with default (empty) hyperparameters.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "faulty_panic",
-                Engine::Modeling,
-                "fault injection: panics on fit",
-                &["signal"],
-                &[],
-                vec![],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "faulty_panic",
+                    Engine::Modeling,
+                    "fault injection: panics on fit",
+                    &["signal"],
+                    &[],
+                    vec![],
+                )
+            }),
         }
     }
 }
@@ -56,7 +61,7 @@ impl Default for FaultyPanic {
 
 impl Primitive for FaultyPanic {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, _value: HyperValue) -> Result<()> {
@@ -76,21 +81,24 @@ impl Primitive for FaultyPanic {
 
 /// Emits a NaN-poisoned error series — exercises the non-finite guard.
 pub struct FaultyNan {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
 }
 
 impl FaultyNan {
     /// Construct with default (empty) hyperparameters.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "faulty_nan",
-                Engine::Modeling,
-                "fault injection: produces NaN errors",
-                &["signal"],
-                &["errors", "error_timestamps"],
-                vec![],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "faulty_nan",
+                    Engine::Modeling,
+                    "fault injection: produces NaN errors",
+                    &["signal"],
+                    &["errors", "error_timestamps"],
+                    vec![],
+                )
+            }),
         }
     }
 }
@@ -103,7 +111,7 @@ impl Default for FaultyNan {
 
 impl Primitive for FaultyNan {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, _value: HyperValue) -> Result<()> {
@@ -122,22 +130,25 @@ impl Primitive for FaultyNan {
 
 /// Sleeps past the run budget in `fit` — exercises the watchdog timeout.
 pub struct FaultyHang {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     sleep_ms: i64,
 }
 
 impl FaultyHang {
     /// Construct with the default 30 s sleep.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "faulty_hang",
-                Engine::Modeling,
-                "fault injection: sleeps past the run budget on fit",
-                &["signal"],
-                &[],
-                vec![HyperSpec::int("sleep_ms", 1, 3_600_000, 30_000)],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "faulty_hang",
+                    Engine::Modeling,
+                    "fault injection: sleeps past the run budget on fit",
+                    &["signal"],
+                    &[],
+                    vec![HyperSpec::int("sleep_ms", 1, 3_600_000, 30_000)],
+                )
+            }),
             sleep_ms: 30_000,
         }
     }
@@ -151,7 +162,7 @@ impl Default for FaultyHang {
 
 impl Primitive for FaultyHang {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -198,22 +209,25 @@ fn sliced_sleep(total_ms: u64) -> Result<()> {
 /// degradation and shedding tests. Emits a benign zero error series so
 /// downstream thresholding keeps working.
 pub struct FaultySlow {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     ms_per_row: i64,
 }
 
 impl FaultySlow {
     /// Construct with the default 1 ms/row delay.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "faulty_slow",
-                Engine::Modeling,
-                "fault injection: sleeps ms_per_row per sample on produce",
-                &["signal"],
-                &["errors", "error_timestamps"],
-                vec![HyperSpec::int("ms_per_row", 0, 10_000, 1)],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "faulty_slow",
+                    Engine::Modeling,
+                    "fault injection: sleeps ms_per_row per sample on produce",
+                    &["signal"],
+                    &["errors", "error_timestamps"],
+                    vec![HyperSpec::int("ms_per_row", 0, 10_000, 1)],
+                )
+            }),
             ms_per_row: 1,
         }
     }
@@ -227,7 +241,7 @@ impl Default for FaultySlow {
 
 impl Primitive for FaultySlow {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -265,22 +279,25 @@ impl Primitive for FaultySlow {
 /// both drifts execute silently; static analysis cannot see them because
 /// the declared contract is perfectly consistent.
 pub struct FaultyContractDrift {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     mode: String,
 }
 
 impl FaultyContractDrift {
     /// Construct with the default `write` drift mode.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "faulty_contract_drift",
-                Engine::Modeling,
-                "fault injection: accesses context slots its contract does not declare",
-                &["signal"],
-                &["errors", "error_timestamps"],
-                vec![HyperSpec::choice("mode", &["write", "read"], "write")],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "faulty_contract_drift",
+                    Engine::Modeling,
+                    "fault injection: accesses context slots its contract does not declare",
+                    &["signal"],
+                    &["errors", "error_timestamps"],
+                    vec![HyperSpec::choice("mode", &["write", "read"], "write")],
+                )
+            }),
             mode: "write".to_string(),
         }
     }
@@ -294,7 +311,7 @@ impl Default for FaultyContractDrift {
 
 impl Primitive for FaultyContractDrift {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -370,7 +387,7 @@ pub fn reset_flaky_counter(key: &str) {
 /// the transient-failure profile circuit-breaker half-open probes must
 /// recover from. Emits a benign zero error series once healthy.
 pub struct FaultyFlaky {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     fail_first_n: i64,
     key: String,
 }
@@ -378,18 +395,21 @@ pub struct FaultyFlaky {
 impl FaultyFlaky {
     /// Construct with defaults (`fail_first_n = 3`, key `"default"`).
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "faulty_flaky",
-                Engine::Modeling,
-                "fault injection: fails the first n runs of its key, then succeeds",
-                &["signal"],
-                &["errors", "error_timestamps"],
-                vec![
-                    HyperSpec::int("fail_first_n", 0, 1_000_000, 3),
-                    HyperSpec::choice("key", &["default"], "default"),
-                ],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "faulty_flaky",
+                    Engine::Modeling,
+                    "fault injection: fails the first n runs of its key, then succeeds",
+                    &["signal"],
+                    &["errors", "error_timestamps"],
+                    vec![
+                        HyperSpec::int("fail_first_n", 0, 1_000_000, 3),
+                        HyperSpec::choice("key", &["default"], "default"),
+                    ],
+                )
+            }),
             fail_first_n: 3,
             key: "default".to_string(),
         }
@@ -404,7 +424,7 @@ impl Default for FaultyFlaky {
 
 impl Primitive for FaultyFlaky {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {

@@ -1,6 +1,8 @@
 //! Modeling primitives: wrappers exposing the `sintel-nn` and
 //! `sintel-stats` models through the primitive interface.
 
+use std::sync::OnceLock;
+
 use sintel_linalg::Matrix;
 use sintel_nn::{DenseAutoencoder, LstmAutoencoder, LstmRegressor, TadGan, TrainConfig};
 use sintel_stats::{spectral, Arima};
@@ -83,7 +85,7 @@ impl TrainHypers {
 /// Double-stacked LSTM next-value predictor (`keras.Sequential` stand-in
 /// of Figure 2a).
 pub struct LstmRegressorPrimitive {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     hypers: TrainHypers,
     model: Option<LstmRegressor>,
 }
@@ -91,20 +93,23 @@ pub struct LstmRegressorPrimitive {
 impl LstmRegressorPrimitive {
     /// Create with default hyperparameters.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "lstm_regressor",
-                Engine::Modeling,
-                "double-stacked LSTM predicting the next value of each window",
-                &["windows", "targets"],
-                &["predictions"],
-                train_specs(8),
-            )
-            // targets are only consumed while training; produce runs on
-            // windows alone.
-            .fit_only_read("targets")
-            // window_shape probes the signal for its channel count.
-            .optional_fit_read("signal"),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "lstm_regressor",
+                    Engine::Modeling,
+                    "double-stacked LSTM predicting the next value of each window",
+                    &["windows", "targets"],
+                    &["predictions"],
+                    train_specs(8),
+                )
+                // targets are only consumed while training; produce runs on
+                // windows alone.
+                .fit_only_read("targets")
+                // window_shape probes the signal for its channel count.
+                .optional_fit_read("signal")
+            }),
             hypers: TrainHypers::new(8),
             model: None,
         }
@@ -119,7 +124,7 @@ impl Default for LstmRegressorPrimitive {
 
 impl Primitive for LstmRegressorPrimitive {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -158,7 +163,7 @@ impl Primitive for LstmRegressorPrimitive {
 /// ARIMA forecaster (operates on the preprocessed signal directly; emits
 /// aligned predictions, targets and timestamps).
 pub struct ArimaPrimitive {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     p: usize,
     d: usize,
     q: usize,
@@ -168,19 +173,22 @@ pub struct ArimaPrimitive {
 impl ArimaPrimitive {
     /// Create with ARIMA(5, 0, 1) defaults.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "arima",
-                Engine::Modeling,
-                "ARIMA(p, d, q) one-step-ahead forecaster",
-                &["signal"],
-                &["predictions", "targets", "index_timestamps"],
-                vec![
-                    HyperSpec::int("p", 1, 12, 5),
-                    HyperSpec::int("d", 0, 2, 0),
-                    HyperSpec::int("q", 0, 6, 1),
-                ],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "arima",
+                    Engine::Modeling,
+                    "ARIMA(p, d, q) one-step-ahead forecaster",
+                    &["signal"],
+                    &["predictions", "targets", "index_timestamps"],
+                    vec![
+                        HyperSpec::int("p", 1, 12, 5),
+                        HyperSpec::int("d", 0, 2, 0),
+                        HyperSpec::int("q", 0, 6, 1),
+                    ],
+                )
+            }),
             p: 5,
             d: 0,
             q: 1,
@@ -197,7 +205,7 @@ impl Default for ArimaPrimitive {
 
 impl Primitive for ArimaPrimitive {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -244,7 +252,7 @@ macro_rules! autoencoder_primitive {
     ($name:ident, $model:ty, $reg_name:literal, $docstring:literal, $extra_latent:expr, $epochs:expr) => {
         #[doc = $docstring]
         pub struct $name {
-            meta: PrimitiveMeta,
+            meta: &'static PrimitiveMeta,
             hypers: TrainHypers,
             // Only autoencoders with an explicit bottleneck read this.
             #[allow(dead_code)]
@@ -255,21 +263,24 @@ macro_rules! autoencoder_primitive {
         impl $name {
             /// Create with default hyperparameters.
             pub fn new() -> Self {
-                let mut specs = train_specs($epochs);
-                if $extra_latent {
-                    specs.push(HyperSpec::int("latent", 2, 32, 5));
-                }
+                static META: OnceLock<PrimitiveMeta> = OnceLock::new();
                 Self {
-                    meta: PrimitiveMeta::new(
-                        $reg_name,
-                        Engine::Modeling,
-                        $docstring,
-                        &["windows"],
-                        &["reconstructions"],
-                        specs,
-                    )
-                    // window_shape probes the signal for its channel count.
-                    .optional_fit_read("signal"),
+                    meta: META.get_or_init(|| {
+                        let mut specs = train_specs($epochs);
+                        if $extra_latent {
+                            specs.push(HyperSpec::int("latent", 2, 32, 5));
+                        }
+                        PrimitiveMeta::new(
+                            $reg_name,
+                            Engine::Modeling,
+                            $docstring,
+                            &["windows"],
+                            &["reconstructions"],
+                            specs,
+                        )
+                        // window_shape probes the signal for its channel count.
+                        .optional_fit_read("signal")
+                    }),
                     hypers: TrainHypers::new($epochs as usize),
                     latent: 5,
                     model: None,
@@ -296,7 +307,7 @@ autoencoder_primitive!(
 
 impl Primitive for LstmAutoencoderPrimitive {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -345,7 +356,7 @@ autoencoder_primitive!(
 
 impl Primitive for DenseAutoencoderPrimitive {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -393,7 +404,7 @@ impl Primitive for DenseAutoencoderPrimitive {
 /// TadGAN adversarial reconstructor: emits reconstructions *and* critic
 /// scores, blended downstream by `reconstruction_errors`.
 pub struct TadGanPrimitive {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     hypers: TrainHypers,
     latent: usize,
     model: Option<TadGan>,
@@ -402,19 +413,22 @@ pub struct TadGanPrimitive {
 impl TadGanPrimitive {
     /// Create with default hyperparameters.
     pub fn new() -> Self {
-        let mut specs = train_specs(10);
-        specs.push(HyperSpec::int("latent", 2, 32, 6));
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "tadgan",
-                Engine::Modeling,
-                "TadGAN: encoder/generator with Wasserstein critics",
-                &["windows"],
-                &["reconstructions", "critic_scores"],
-                specs,
-            )
-            // window_shape probes the signal for its channel count.
-            .optional_fit_read("signal"),
+            meta: META.get_or_init(|| {
+                let mut specs = train_specs(10);
+                specs.push(HyperSpec::int("latent", 2, 32, 6));
+                PrimitiveMeta::new(
+                    "tadgan",
+                    Engine::Modeling,
+                    "TadGAN: encoder/generator with Wasserstein critics",
+                    &["windows"],
+                    &["reconstructions", "critic_scores"],
+                    specs,
+                )
+                // window_shape probes the signal for its channel count.
+                .optional_fit_read("signal")
+            }),
             hypers: TrainHypers::new(10),
             latent: 6,
             model: None,
@@ -430,7 +444,7 @@ impl Default for TadGanPrimitive {
 
 impl Primitive for TadGanPrimitive {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -478,7 +492,7 @@ impl Primitive for TadGanPrimitive {
 /// 2019). Consumes the signal, emits per-sample anomaly "errors" directly
 /// (the service is a black box — no separate modeling/post stages).
 pub struct AzureAnomalyService {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     filter_window: usize,
     score_window: usize,
 }
@@ -486,18 +500,21 @@ pub struct AzureAnomalyService {
 impl AzureAnomalyService {
     /// Create with the published defaults (q = 3, z = 21).
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "azure_anomaly_service",
-                Engine::Modeling,
-                "spectral-residual saliency scoring (MS Azure AD stand-in)",
-                &["signal"],
-                &["errors", "error_timestamps"],
-                vec![
-                    HyperSpec::int("filter_window", 1, 16, 3),
-                    HyperSpec::int("score_window", 4, 256, 21),
-                ],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "azure_anomaly_service",
+                    Engine::Modeling,
+                    "spectral-residual saliency scoring (MS Azure AD stand-in)",
+                    &["signal"],
+                    &["errors", "error_timestamps"],
+                    vec![
+                        HyperSpec::int("filter_window", 1, 16, 3),
+                        HyperSpec::int("score_window", 4, 256, 21),
+                    ],
+                )
+            }),
             filter_window: 3,
             score_window: 21,
         }
@@ -512,7 +529,7 @@ impl Default for AzureAnomalyService {
 
 impl Primitive for AzureAnomalyService {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {

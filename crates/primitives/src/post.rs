@@ -1,5 +1,7 @@
 //! Postprocessing primitives: error calculation and anomaly extraction.
 
+use std::sync::OnceLock;
+
 use sintel_linalg::Matrix;
 use sintel_common::{mean, stddev};
 use sintel_stats::threshold::{dynamic_threshold, fixed_threshold, ThresholdParams};
@@ -19,7 +21,7 @@ use crate::{PrimitiveError, Result};
 /// targets (`regression_errors` of Figure 2a), optionally smoothed.
 #[derive(Debug)]
 pub struct RegressionErrors {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     smooth: bool,
     smoothing_window: usize,
 }
@@ -27,23 +29,26 @@ pub struct RegressionErrors {
 impl RegressionErrors {
     /// Create with smoothing on.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "regression_errors",
-                Engine::Postprocessing,
-                "absolute point-wise prediction error",
-                &["predictions", "targets", "index_timestamps"],
-                &["errors", "error_timestamps"],
-                vec![
-                    HyperSpec {
-                        name: "smooth".into(),
-                        range: crate::hyper::HyperRange::Flag,
-                        default: HyperValue::Flag(true),
-                        tunable: true,
-                    },
-                    HyperSpec::int("smoothing_window", 1, 200, 10),
-                ],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "regression_errors",
+                    Engine::Postprocessing,
+                    "absolute point-wise prediction error",
+                    &["predictions", "targets", "index_timestamps"],
+                    &["errors", "error_timestamps"],
+                    vec![
+                        HyperSpec {
+                            name: "smooth".into(),
+                            range: crate::hyper::HyperRange::Flag,
+                            default: HyperValue::Flag(true),
+                            tunable: true,
+                        },
+                        HyperSpec::int("smoothing_window", 1, 200, 10),
+                    ],
+                )
+            }),
             smooth: true,
             smoothing_window: 10,
         }
@@ -72,7 +77,7 @@ fn smooth_series(xs: &[f64], window: usize) -> Vec<f64> {
 
 impl Primitive for RegressionErrors {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -120,7 +125,7 @@ impl Primitive for RegressionErrors {
 /// TadGAN's published scoring.
 #[derive(Debug)]
 pub struct ReconstructionErrors {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     alpha: f64,
     smoothing_window: usize,
 }
@@ -128,21 +133,24 @@ pub struct ReconstructionErrors {
 impl ReconstructionErrors {
     /// Create with `alpha = 0.7` (reconstruction-dominant blend).
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "reconstruction_errors",
-                Engine::Postprocessing,
-                "overlap-averaged reconstruction error (critic-aware)",
-                &["reconstructions", "first_index", "signal"],
-                &["errors", "error_timestamps"],
-                vec![
-                    HyperSpec::float("alpha", 0.0, 1.0, 0.7),
-                    HyperSpec::int("smoothing_window", 1, 200, 10),
-                ],
-            )
-            // critic scores are blended in when a TadGAN-style model left
-            // them in the context; plain autoencoders don't provide them.
-            .optional_read("critic_scores"),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "reconstruction_errors",
+                    Engine::Postprocessing,
+                    "overlap-averaged reconstruction error (critic-aware)",
+                    &["reconstructions", "first_index", "signal"],
+                    &["errors", "error_timestamps"],
+                    vec![
+                        HyperSpec::float("alpha", 0.0, 1.0, 0.7),
+                        HyperSpec::int("smoothing_window", 1, 200, 10),
+                    ],
+                )
+                // critic scores are blended in when a TadGAN-style model left
+                // them in the context; plain autoencoders don't provide them.
+                .optional_read("critic_scores")
+            }),
             alpha: 0.7,
             smoothing_window: 10,
         }
@@ -163,7 +171,7 @@ fn znorm(xs: &[f64]) -> Vec<f64> {
 
 impl Primitive for ReconstructionErrors {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -256,7 +264,7 @@ impl Primitive for ReconstructionErrors {
 /// nonparametric dynamic threshold (`find_anomalies`, Hundman et al.).
 #[derive(Debug)]
 pub struct FindAnomalies {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     params: ThresholdParams,
     window_fraction: f64,
     padding: usize,
@@ -266,25 +274,28 @@ impl FindAnomalies {
     /// Create with Hundman-style defaults (3 windows per signal, a small
     /// detection buffer around each sequence).
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "find_anomalies",
-                Engine::Postprocessing,
-                "dynamic error threshold -> scored anomalous intervals",
-                &["errors", "error_timestamps"],
-                &["anomalies"],
-                vec![
-                    HyperSpec::float("smoothing_alpha", 0.01, 1.0, 0.2),
-                    HyperSpec::float("z_min", 1.0, 6.0, 2.0),
-                    HyperSpec::float("z_max", 6.0, 14.0, 10.0),
-                    HyperSpec::float("min_percent_drop", 0.0, 0.5, 0.1),
-                    HyperSpec::float("window_fraction", 0.1, 1.0, 0.34),
-                    // Error smoothing and forecast models reacting at
-                    // anomaly *boundaries* shift detections by a few
-                    // samples; Hundman-style buffering compensates.
-                    HyperSpec::int("padding", 0, 50, 8),
-                ],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "find_anomalies",
+                    Engine::Postprocessing,
+                    "dynamic error threshold -> scored anomalous intervals",
+                    &["errors", "error_timestamps"],
+                    &["anomalies"],
+                    vec![
+                        HyperSpec::float("smoothing_alpha", 0.01, 1.0, 0.2),
+                        HyperSpec::float("z_min", 1.0, 6.0, 2.0),
+                        HyperSpec::float("z_max", 6.0, 14.0, 10.0),
+                        HyperSpec::float("min_percent_drop", 0.0, 0.5, 0.1),
+                        HyperSpec::float("window_fraction", 0.1, 1.0, 0.34),
+                        // Error smoothing and forecast models reacting at
+                        // anomaly *boundaries* shift detections by a few
+                        // samples; Hundman-style buffering compensates.
+                        HyperSpec::int("padding", 0, 50, 8),
+                    ],
+                )
+            }),
             params: ThresholdParams::default(),
             window_fraction: 0.34,
             padding: 8,
@@ -300,7 +311,7 @@ impl Default for FindAnomalies {
 
 impl Primitive for FindAnomalies {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -356,22 +367,25 @@ impl Primitive for FindAnomalies {
 /// pipeline.
 #[derive(Debug)]
 pub struct FixedThresholdPrimitive {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     k: f64,
 }
 
 impl FixedThresholdPrimitive {
     /// Create with `k = 3`.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "fixed_threshold",
-                Engine::Postprocessing,
-                "fixed mean + k*std error threshold",
-                &["errors", "error_timestamps"],
-                &["anomalies"],
-                vec![HyperSpec::float("k", 0.5, 10.0, 3.0)],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "fixed_threshold",
+                    Engine::Postprocessing,
+                    "fixed mean + k*std error threshold",
+                    &["errors", "error_timestamps"],
+                    &["anomalies"],
+                    vec![HyperSpec::float("k", 0.5, 10.0, 3.0)],
+                )
+            }),
             k: 3.0,
         }
     }
@@ -385,7 +399,7 @@ impl Default for FixedThresholdPrimitive {
 
 impl Primitive for FixedThresholdPrimitive {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {

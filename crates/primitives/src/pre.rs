@@ -1,5 +1,7 @@
 //! Preprocessing primitives (Figure 2a, left of the LSTM block).
 
+use std::sync::OnceLock;
+
 use sintel_common::mean;
 use sintel_timeseries::{resample, rolling_windows, Aggregation};
 
@@ -23,7 +25,7 @@ fn algo(e: impl std::fmt::Display) -> PrimitiveError {
 /// materialising gaps as NaN bins for the imputer.
 #[derive(Debug)]
 pub struct TimeSegmentsAggregate {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     interval: i64,
     agg: Aggregation,
 }
@@ -31,18 +33,21 @@ pub struct TimeSegmentsAggregate {
 impl TimeSegmentsAggregate {
     /// Create with defaults (`interval = auto`, mean aggregation).
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "time_segments_aggregate",
-                Engine::Preprocessing,
-                "aggregate a signal into equi-spaced time bins",
-                &["signal"],
-                &["signal"],
-                vec![
-                    HyperSpec::int("interval", 0, 1_000_000, 0).fixed(),
-                    HyperSpec::choice("method", &["mean", "median", "max", "min", "last"], "mean"),
-                ],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "time_segments_aggregate",
+                    Engine::Preprocessing,
+                    "aggregate a signal into equi-spaced time bins",
+                    &["signal"],
+                    &["signal"],
+                    vec![
+                        HyperSpec::int("interval", 0, 1_000_000, 0).fixed(),
+                        HyperSpec::choice("method", &["mean", "median", "max", "min", "last"], "mean"),
+                    ],
+                )
+            }),
             interval: 0,
             agg: Aggregation::Mean,
         }
@@ -57,7 +62,7 @@ impl Default for TimeSegmentsAggregate {
 
 impl Primitive for TimeSegmentsAggregate {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -96,22 +101,25 @@ impl Primitive for TimeSegmentsAggregate {
 /// (signal mean, the paper's default), `interpolate` (linear), `zero`.
 #[derive(Debug)]
 pub struct SimpleImputer {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     strategy: String,
 }
 
 impl SimpleImputer {
     /// Create with the mean strategy.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "SimpleImputer",
-                Engine::Preprocessing,
-                "impute missing values",
-                &["signal"],
-                &["signal"],
-                vec![HyperSpec::choice("strategy", &["mean", "interpolate", "zero"], "mean")],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "SimpleImputer",
+                    Engine::Preprocessing,
+                    "impute missing values",
+                    &["signal"],
+                    &["signal"],
+                    vec![HyperSpec::choice("strategy", &["mean", "interpolate", "zero"], "mean")],
+                )
+            }),
             strategy: "mean".into(),
         }
     }
@@ -125,7 +133,7 @@ impl Default for SimpleImputer {
 
 impl Primitive for SimpleImputer {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -169,7 +177,7 @@ impl Primitive for SimpleImputer {
 /// Scale each channel into `[-1, 1]` using ranges learned at fit time.
 #[derive(Debug)]
 pub struct MinMaxScaler {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     /// Per-channel `(min, max)` learned at fit time.
     ranges: Option<Vec<(f64, f64)>>,
 }
@@ -177,15 +185,18 @@ pub struct MinMaxScaler {
 impl MinMaxScaler {
     /// Create an unfitted scaler.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "MinMaxScaler",
-                Engine::Preprocessing,
-                "scale each channel into [-1, 1]",
-                &["signal"],
-                &["signal"],
-                vec![],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "MinMaxScaler",
+                    Engine::Preprocessing,
+                    "scale each channel into [-1, 1]",
+                    &["signal"],
+                    &["signal"],
+                    vec![],
+                )
+            }),
             ranges: None,
         }
     }
@@ -199,7 +210,7 @@ impl Default for MinMaxScaler {
 
 impl Primitive for MinMaxScaler {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -245,22 +256,25 @@ impl Primitive for MinMaxScaler {
 /// replacement the paper uses to illustrate pipeline customisation.
 #[derive(Debug)]
 pub struct StandardScaler {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     stats: Option<Vec<(f64, f64)>>,
 }
 
 impl StandardScaler {
     /// Create an unfitted scaler.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "StandardScaler",
-                Engine::Preprocessing,
-                "z-score normalisation per channel",
-                &["signal"],
-                &["signal"],
-                vec![],
-            ),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "StandardScaler",
+                    Engine::Preprocessing,
+                    "z-score normalisation per channel",
+                    &["signal"],
+                    &["signal"],
+                    vec![],
+                )
+            }),
             stats: None,
         }
     }
@@ -274,7 +288,7 @@ impl Default for StandardScaler {
 
 impl Primitive for StandardScaler {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {
@@ -319,7 +333,7 @@ impl Primitive for StandardScaler {
 /// windows stand alone.
 #[derive(Debug)]
 pub struct RollingWindowSequences {
-    meta: PrimitiveMeta,
+    meta: &'static PrimitiveMeta,
     window_size: usize,
     step: usize,
     targets: bool,
@@ -328,29 +342,32 @@ pub struct RollingWindowSequences {
 impl RollingWindowSequences {
     /// Create with a 50-sample window, unit step and prediction targets.
     pub fn new() -> Self {
+        static META: OnceLock<PrimitiveMeta> = OnceLock::new();
         Self {
-            meta: PrimitiveMeta::new(
-                "rolling_window_sequences",
-                Engine::Preprocessing,
-                "extract rolling windows (and optional next-value targets)",
-                &["signal"],
-                &["windows", "targets", "index_timestamps", "first_index"],
-                vec![
-                    HyperSpec::int("window_size", 4, 500, 50),
-                    HyperSpec::int("step", 1, 50, 1).fixed(),
-                    HyperSpec {
-                        name: "targets".into(),
-                        range: crate::hyper::HyperRange::Flag,
-                        default: HyperValue::Flag(true),
-                        tunable: false,
-                    },
-                ],
-            )
-            // `windows` is the main product; the other three slots are
-            // alignment bookkeeping that only some downstream chains read.
-            .auxiliary_write("targets")
-            .auxiliary_write("index_timestamps")
-            .auxiliary_write("first_index"),
+            meta: META.get_or_init(|| {
+                PrimitiveMeta::new(
+                    "rolling_window_sequences",
+                    Engine::Preprocessing,
+                    "extract rolling windows (and optional next-value targets)",
+                    &["signal"],
+                    &["windows", "targets", "index_timestamps", "first_index"],
+                    vec![
+                        HyperSpec::int("window_size", 4, 500, 50),
+                        HyperSpec::int("step", 1, 50, 1).fixed(),
+                        HyperSpec {
+                            name: "targets".into(),
+                            range: crate::hyper::HyperRange::Flag,
+                            default: HyperValue::Flag(true),
+                            tunable: false,
+                        },
+                    ],
+                )
+                // `windows` is the main product; the other three slots are
+                // alignment bookkeeping that only some downstream chains read.
+                .auxiliary_write("targets")
+                .auxiliary_write("index_timestamps")
+                .auxiliary_write("first_index")
+            }),
             window_size: 50,
             step: 1,
             targets: true,
@@ -366,7 +383,7 @@ impl Default for RollingWindowSequences {
 
 impl Primitive for RollingWindowSequences {
     fn meta(&self) -> &PrimitiveMeta {
-        &self.meta
+        self.meta
     }
 
     fn set_hyperparam(&mut self, name: &str, value: HyperValue) -> Result<()> {

@@ -31,6 +31,10 @@ impl std::fmt::Display for Engine {
 /// Primitive metadata: the annotations the paper attaches to every
 /// primitive (name, documentation, engine category, declared
 /// hyperparameters, and the context slots consumed/produced).
+///
+/// The built-in primitives build theirs once per type, in a `OnceLock`
+/// on first construction, and every instance borrows it, so building a
+/// pipeline allocates none of these tables.
 #[derive(Debug, Clone)]
 pub struct PrimitiveMeta {
     /// Registry name (e.g. `"time_segments_aggregate"`).

@@ -129,3 +129,49 @@ fn predict_batch_allocations_do_not_grow_with_window_count() {
     // plus the output vector, with slack for Result plumbing.
     assert!(small <= 16, "predict_batch made {small} allocations per call");
 }
+
+/// `LstmRegressor::fit` trains through one reusable tape per layer:
+/// its allocation count depends on the number of windows and epochs,
+/// never on the window length. Per-step cache clones would make the
+/// T = 64 fit allocate four times as often as the T = 16 one.
+#[test]
+fn lstm_fit_allocations_do_not_grow_with_window_length() {
+    let n = 24;
+    let cfg = sintel_nn::TrainConfig { epochs: 2, batch_size: 8, learning_rate: 0.01, seed: 3 };
+    let fit_events = |window: usize| {
+        let flat: Vec<f64> = (0..n * window).map(|i| (i as f64 * 0.07).sin()).collect();
+        let windows = Matrix::from_vec(n, window, flat);
+        let targets: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
+        let mut model = LstmRegressor::new(window, 1, 6, 5);
+        let (events, losses) = alloc_events(|| model.fit(&windows, &targets, &cfg).unwrap());
+        assert_eq!(losses.len(), cfg.epochs);
+        events
+    };
+    fit_events(16); // warm-up
+    let short = fit_events(16);
+    let long = fit_events(64);
+    assert_eq!(
+        short, long,
+        "LstmRegressor::fit allocation count grew with the window length \
+         ({short} events at T = 16 vs {long} at T = 64)"
+    );
+}
+
+/// Built-in primitives share one metadata instance per type, built on
+/// first use: constructing a primitive (every `Sintel::new` and every
+/// serve pass builds a whole pipeline) allocates only the box and the
+/// primitive's own state, never its name, documentation, slot or
+/// hyperparameter tables.
+#[test]
+fn primitive_construction_shares_its_metadata() {
+    use sintel_primitives::registry::{build_primitive, PRIMITIVE_NAMES};
+    for &name in PRIMITIVE_NAMES {
+        let first = build_primitive(name).unwrap();
+        let (events, second) = alloc_events(|| build_primitive(name).unwrap());
+        assert!(
+            std::ptr::eq(first.meta(), second.meta()),
+            "{name}: each instance built its own metadata"
+        );
+        assert!(events <= 3, "{name}: construction made {events} allocations");
+    }
+}
