@@ -21,11 +21,11 @@
 //! and prints paper-formatted rows so measured numbers can be placed
 //! next to the published ones (see EXPERIMENTS.md).
 //!
-//! Criterion micro-benches (`cargo bench`) cover the DESIGN.md §4
-//! ablations: dynamic vs fixed thresholding, GP vs random tuner, indexed
-//! vs scanned store queries, error smoothing on/off, and the two scoring
-//! algorithms — plus per-pipeline fit/detect micro-benchmarks and
-//! substrate benches (FFT, metrics, store).
+//! The one micro-bench, `cargo bench -p sintel-bench --bench ablations`,
+//! covers the DESIGN.md §4 ablations: dynamic vs fixed thresholding, GP
+//! vs random tuner, indexed vs scanned store queries, error smoothing
+//! on/off, the two scoring algorithms and the store durability levels.
+//! End-to-end and per-layer numbers come from `perfbench/`.
 
 use std::time::Duration;
 
@@ -92,6 +92,15 @@ pub fn scale_from_env(default_scale: f64) -> f64 {
         .clamp(0.001, 1.0)
 }
 
+/// Median of `samples` timed samples (at least one). `sample` runs one
+/// sample and returns its measured time, so it may do untimed set-up
+/// before starting its clock.
+pub fn median_time(samples: usize, mut sample: impl FnMut() -> Duration) -> Duration {
+    let mut times: Vec<Duration> = (0..samples.max(1)).map(|_| sample()).collect();
+    times.sort_unstable();
+    times[times.len() / 2]
+}
+
 /// Format a duration compactly for report tables.
 pub fn fmt_duration(d: Duration) -> String {
     let s = d.as_secs_f64();
@@ -153,6 +162,14 @@ mod tests {
         assert_eq!(bar(10.0, 10.0, 10), "##########");
         assert_eq!(bar(20.0, 10.0, 10), "##########");
         assert_eq!(bar(1.0, 0.0, 10), "");
+    }
+
+    #[test]
+    fn median_time_takes_the_middle_sample() {
+        let mut next = [5u64, 1, 9, 3, 7].into_iter();
+        let median = median_time(5, || Duration::from_millis(next.next().unwrap_or(0)));
+        assert_eq!(median, Duration::from_millis(5));
+        assert_eq!(median_time(0, || Duration::from_nanos(4)), Duration::from_nanos(4));
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 pub mod cancel;
 pub mod check;
-pub mod microbench;
 pub mod numeric;
 pub mod par;
 pub mod rng;

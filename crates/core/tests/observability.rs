@@ -108,7 +108,7 @@ fn benchmark_emits_nested_spans_for_every_primitive_step() {
 }
 
 #[test]
-fn detection_scores_are_bitwise_identical_with_instrumentation_on_and_off() {
+fn detection_scores_are_bitwise_identical_with_observability_on_and_off() {
     let _lock = GUARD.lock().unwrap();
     let cfg = tiny_config();
 

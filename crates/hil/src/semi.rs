@@ -168,6 +168,9 @@ impl SemiSupervisedDetector {
             }
         }
 
+        // Activation and gradient rows reused by every example.
+        let (mut h, mut y) = (vec![0.0; self.l1.out_dim()], vec![0.0; 1]);
+        let (mut dh, mut dx) = (vec![0.0; self.l1.out_dim()], vec![0.0; N_FEATURES]);
         let mut last_loss = 0.0;
         for _ in 0..epochs {
             rng.shuffle(&mut order);
@@ -175,15 +178,15 @@ impl SemiSupervisedDetector {
             for chunk in order.chunks(16) {
                 for &idx in chunk {
                     let ex = &self.examples[idx];
-                    let h = self.l1.forward(&ex.x);
-                    let y = self.l2.forward(&h);
+                    self.l1.forward_into(&ex.x, &mut h);
+                    self.l2.forward_into(&h, &mut y);
                     let p = y[0].clamp(1e-7, 1.0 - 1e-7);
                     last_loss += -(ex.y * p.ln() + (1.0 - ex.y) * (1.0 - p).ln());
                     // d(BCE)/d(sigmoid output) — the Dense layer applies
                     // the sigmoid derivative itself.
                     let dy = (p - ex.y) / (p * (1.0 - p));
-                    let dh = self.l2.backward(&h, &y, &[dy]);
-                    self.l1.backward(&ex.x, &h, &dh);
+                    self.l2.backward_into(&h, &y, &[dy], &mut dh);
+                    self.l1.backward_into(&ex.x, &h, &dh, &mut dx);
                 }
                 self.l1.step(0.02, chunk.len());
                 self.l2.step(0.02, chunk.len());

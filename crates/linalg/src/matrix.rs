@@ -104,36 +104,12 @@ impl Matrix {
         out
     }
 
-    /// Row-block size of the parallel matmul path. Fixed (never derived
-    /// from the thread count) so the work decomposition — and therefore
-    /// every partial-sum grouping — is identical at any `SINTEL_THREADS`.
-    pub const MATMUL_BLOCK_ROWS: usize = 16;
-
-    /// Flop-count threshold (`rows * cols * other.cols`) above which
-    /// matmul fans out across threads; below it, spawn overhead wins.
-    ///
-    /// The heuristic: one fused multiply-add is ~1 ns on a scalar core,
-    /// so `2^20` flops is ~1 ms of serial work — roughly 10× the cost
-    /// of spawning and joining the scoped worker pool. Below the
-    /// threshold the pool overhead dominates; above it the fan-out pays
-    /// for itself. The exact boundary behaviour (`>=`, not `>`) is
-    /// pinned by a unit test so a future edit cannot silently move it.
-    pub const MATMUL_PAR_FLOPS: usize = 1 << 20;
-
     /// Number of manual accumulator lanes held in registers by the
     /// vectorized kernel. Each lane owns one output column of the
     /// current row, so the lane count never changes any per-element
     /// reduction order — it only decides how many columns are carried
     /// through the `k` loop at once.
     pub const MATMUL_LANES: usize = 8;
-
-    /// Whether a product of `flops = rows * cols * other.cols` takes
-    /// the row-blocked parallel path under a budget of `threads`.
-    /// Pure in its inputs so the threshold is unit-testable at its
-    /// exact boundary without touching the global thread budget.
-    pub fn matmul_uses_blocked(flops: usize, threads: usize) -> bool {
-        flops >= Self::MATMUL_PAR_FLOPS && threads > 1
-    }
 
     /// Scalar reference kernel: compute output rows `range` of
     /// `self * other` into `out_rows` in the plain i-k-j order.
@@ -183,11 +159,6 @@ impl Matrix {
     /// reduction order per element is *identical* to
     /// [`Self::matmul_rows_scalar_into`] and the results are bitwise
     /// equal by construction, not by tolerance.
-    ///
-    /// This is the single kernel both the serial and parallel paths
-    /// run: each output row is a pure function of one row of `self`
-    /// and all of `other`, so the result is bitwise-identical however
-    /// rows are partitioned.
     // Slicing is in range: `out_rows.len() == range.len() * out_cols`
     // by the caller's contract, `j` advances in lock-step with the
     // exact chunks of `out_row`, and `k < self.cols == other.rows`.
@@ -240,12 +211,8 @@ impl Matrix {
         }
     }
 
-    /// Matrix product `self * other`.
-    ///
-    /// Above [`Self::MATMUL_PAR_FLOPS`] the product is computed in
-    /// row blocks on the [`sintel_common::par`] pool; the blocking is a
-    /// function of the shapes only, so the bits are identical at every
-    /// thread count.
+    /// Matrix product `self * other`, computed serially by the lane
+    /// kernel [`Self::matmul_rows_into`].
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(LinalgError::DimensionMismatch {
@@ -253,36 +220,9 @@ impl Matrix {
                 got: format!("({} x {}) * ({} x {})", self.rows, self.cols, other.rows, other.cols),
             });
         }
-        let flops = self.rows * self.cols * other.cols;
-        if Self::matmul_uses_blocked(flops, sintel_common::configured_threads()) {
-            return Ok(self.matmul_blocked(other, Self::MATMUL_BLOCK_ROWS));
-        }
         let mut out = Matrix::zeros(self.rows, other.cols);
         self.matmul_rows_into(other, 0..self.rows, out.as_mut_slice());
         Ok(out)
-    }
-
-    /// Row-blocked parallel product with an explicit block size —
-    /// exposed (hidden) so the property suite can exercise the blocked
-    /// path on small, cheap shapes. Shapes must already agree.
-    #[doc(hidden)]
-    pub fn matmul_blocked(&self, other: &Matrix, block_rows: usize) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul_blocked: shape mismatch");
-        let out_cols = other.cols;
-        let ranges = sintel_common::par::block_ranges(self.rows, block_rows);
-        let blocks = sintel_common::par_map(ranges.len(), |b| {
-            // Indexing is in range: `b` comes from `0..ranges.len()`.
-            #[allow(clippy::indexing_slicing)]
-            let range = ranges[b].clone();
-            let mut rows = vec![0.0; range.len() * out_cols];
-            self.matmul_rows_into(other, range, &mut rows);
-            rows
-        });
-        let mut data = Vec::with_capacity(self.rows * out_cols);
-        for block in blocks {
-            data.extend_from_slice(&block);
-        }
-        Matrix::from_vec(self.rows, out_cols, data)
     }
 
     /// Matrix–vector product `self * v`.
@@ -430,49 +370,6 @@ mod tests {
         assert_eq!(rows, vec![m.row(0), m.row(1)]);
         assert_eq!(Matrix::zeros(3, 0).row_iter().count(), 0);
         assert_eq!(Matrix::zeros(0, 3).row_iter().count(), 0);
-    }
-
-    /// The blocked-path decision at its exact flop boundary, for serial
-    /// and parallel thread budgets (pure helper — no global state).
-    #[test]
-    fn blocked_threshold_boundary() {
-        let t = Matrix::MATMUL_PAR_FLOPS;
-        // Serial budget never takes the blocked path.
-        for flops in [t - 1, t, t + 1] {
-            assert!(!Matrix::matmul_uses_blocked(flops, 1));
-        }
-        // Parallel budget: the threshold is inclusive (`>=`).
-        assert!(!Matrix::matmul_uses_blocked(t - 1, 2));
-        assert!(Matrix::matmul_uses_blocked(t, 2));
-        assert!(Matrix::matmul_uses_blocked(t + 1, 8));
-    }
-
-    /// Both kernels agree bitwise at real shapes that straddle the
-    /// threshold: 1×1023·1023×1025 = 2^20−1, 1×1024·1024×1024 = 2^20,
-    /// and 1×17·17×61681 = 2^20+1 flops.
-    #[test]
-    fn blocked_threshold_shapes_bitwise_identical() {
-        let mut rng = SintelRng::seed_from_u64(0x2020);
-        let t = Matrix::MATMUL_PAR_FLOPS;
-        for (k, m, flops) in [(1023, 1025, t - 1), (1024, 1024, t), (17, 61681, t + 1)] {
-            assert_eq!(k * m, flops, "shape arithmetic");
-            let a = random_matrix(&mut rng, 1, k, 1.0);
-            let b = random_matrix(&mut rng, k, m, 1.0);
-            let mut scalar = Matrix::zeros(1, m);
-            a.matmul_rows_scalar_into(&b, 0..1, scalar.as_mut_slice());
-            let blocked = a.matmul_blocked(&b, Matrix::MATMUL_BLOCK_ROWS);
-            let serial = {
-                let mut out = Matrix::zeros(1, m);
-                a.matmul_rows_into(&b, 0..1, out.as_mut_slice());
-                out
-            };
-            for ((s, bl), se) in
-                scalar.as_slice().iter().zip(blocked.as_slice()).zip(serial.as_slice())
-            {
-                assert_eq!(s.to_bits(), bl.to_bits());
-                assert_eq!(s.to_bits(), se.to_bits());
-            }
-        }
     }
 
     /// Random `r x c` matrix with entries uniform in `[-scale, scale)`.

@@ -55,51 +55,6 @@ fn matmul_is_associative_up_to_rounding() {
     );
 }
 
-/// The row-blocked parallel path must agree *bitwise* with the serial
-/// kernel for any block size — this is the determinism contract the
-/// benchmark relies on, and the property that catches a broken blocking
-/// scheme (wrong ranges, dropped remainder rows, reordered accumulation).
-#[test]
-fn matmul_blocked_matches_serial_bitwise_for_any_block_size() {
-    forall(
-        "matmul_blocked(A, B, block) == matmul serial path, bitwise",
-        &Config::default(),
-        |rng| {
-            let (r, k, m) = (
-                rng.int_range(1, 24) as usize,
-                rng.int_range(1, 12) as usize,
-                rng.int_range(1, 12) as usize,
-            );
-            let block = rng.int_range(1, 9) as usize;
-            (random_matrix(rng, r, k), random_matrix(rng, k, m), block)
-        },
-        shrinks::none,
-        |(a, b, block)| {
-            let serial = a.matmul(b).map_err(|e| e.to_string())?;
-            let blocked = a.matmul_blocked(b, *block);
-            if serial.rows() != blocked.rows() || serial.cols() != blocked.cols() {
-                return Err(format!(
-                    "shape mismatch: serial {}x{}, blocked {}x{}",
-                    serial.rows(),
-                    serial.cols(),
-                    blocked.rows(),
-                    blocked.cols()
-                ));
-            }
-            for (i, (s, p)) in
-                serial.as_slice().iter().zip(blocked.as_slice()).enumerate()
-            {
-                if s.to_bits() != p.to_bits() {
-                    return Err(format!(
-                        "element {i} differs: serial {s:?} vs blocked {p:?} (block={block})"
-                    ));
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
 #[test]
 fn spd_solve_round_trips_a_x_eq_b() {
     forall(
@@ -225,15 +180,14 @@ fn assert_bitwise(name: &str, want: &Matrix, got: &Matrix) -> Result<(), String>
 
 /// The tentpole property: the lane-accumulator kernel is bitwise equal
 /// to the scalar i-k-j reference at *every* shape — in particular at
-/// remainder widths (`out_cols % MATMUL_LANES != 0`) and across the
-/// `MATMUL_BLOCK_ROWS` boundary of the parallel path.
+/// remainder widths (`out_cols % MATMUL_LANES != 0`).
 #[test]
 fn lane_kernel_matches_scalar_reference_bitwise() {
     forall(
         "lane kernel == scalar reference, bitwise, any shape",
         &Config::default(),
         |rng| {
-            let r = rng.int_range(1, 2 * Matrix::MATMUL_BLOCK_ROWS as i64 + 2) as usize;
+            let r = rng.int_range(1, 34) as usize;
             let k = rng.int_range(1, 12) as usize;
             // Half the cases force a remainder width; the rest roam,
             // covering exact multiples of the lane count too.
@@ -248,11 +202,7 @@ fn lane_kernel_matches_scalar_reference_bitwise() {
         shrinks::none,
         |(a, b)| {
             let reference = matmul_scalar_reference(a, b);
-            assert_bitwise("serial lane kernel", &reference, &matmul_lane_kernel(a, b))?;
-            // The production block size, and the boundary rows around it,
-            // are covered because `r` roams past 2 * MATMUL_BLOCK_ROWS.
-            let blocked = a.matmul_blocked(b, Matrix::MATMUL_BLOCK_ROWS);
-            assert_bitwise("blocked lane kernel", &reference, &blocked)
+            assert_bitwise("serial lane kernel", &reference, &matmul_lane_kernel(a, b))
         },
     );
 }

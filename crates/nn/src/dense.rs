@@ -8,7 +8,7 @@ use crate::adam::Adam;
 /// A dense layer `y = act(W x + b)`.
 ///
 /// Weights are stored row-major `(out_dim x in_dim)`. Gradients are
-/// *accumulated* across [`Dense::backward`] calls (one per sample in a
+/// *accumulated* across [`Dense::backward_into`] calls (one per sample in a
 /// batch) and applied by [`Dense::step`], which also clears them.
 #[derive(Debug, Clone)]
 pub struct Dense {
@@ -88,24 +88,25 @@ impl Dense {
 
     /// Backward pass for one sample: given the input `x` used in the
     /// forward pass, the produced output `y`, and `dy = ∂L/∂y`,
-    /// accumulates parameter gradients and returns `∂L/∂x`.
-    pub fn backward(&mut self, x: &[f64], y: &[f64], dy: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(dy.len(), self.out_dim);
-        let mut dx = vec![0.0; self.in_dim];
-        for o in 0..self.out_dim {
-            let dz = dy[o] * self.act.deriv_from_output(y[o]);
+    /// accumulates parameter gradients and writes `∂L/∂x` into the
+    /// caller-owned row `dx` of length `in_dim` — training loops reuse
+    /// one row, so backprop allocates nothing (DESIGN.md §4j).
+    pub fn backward_into(&mut self, x: &[f64], y: &[f64], dy: &[f64], dx: &mut [f64]) {
+        debug_assert_eq!(dy.len(), self.out_dim, "dense backward: output gradient size");
+        debug_assert_eq!(dx.len(), self.in_dim, "dense backward: input gradient size");
+        dx.fill(0.0);
+        let rows = self.w.chunks_exact(self.in_dim).zip(self.gw.chunks_exact_mut(self.in_dim));
+        for (((wrow, grow), gb), (&dy_o, &y_o)) in rows.zip(&mut self.gb).zip(dy.iter().zip(y)) {
+            let dz = dy_o * self.act.deriv_from_output(y_o);
             if dz == 0.0 {
                 continue;
             }
-            self.gb[o] += dz;
-            let wrow = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            let grow = &mut self.gw[o * self.in_dim..(o + 1) * self.in_dim];
-            for i in 0..self.in_dim {
-                grow[i] += dz * x[i];
-                dx[i] += dz * wrow[i];
+            *gb += dz;
+            for (((g, d), &x_i), &w_i) in grow.iter_mut().zip(dx.iter_mut()).zip(x).zip(wrow) {
+                *g += dz * x_i;
+                *d += dz * w_i;
             }
         }
-        dx
     }
 
     /// Apply an Adam update scaled by `1/batch` and clear gradients.
@@ -164,7 +165,8 @@ mod tests {
         };
         let y = layer.forward(&x);
         let dy: Vec<f64> = y.iter().zip(&target).map(|(a, b)| a - b).collect();
-        let dx = layer.backward(&x, &y, &dy);
+        let mut dx = [0.0; 4];
+        layer.backward_into(&x, &y, &dy, &mut dx);
 
         // Check weight gradients numerically.
         let eps = 1e-6;
@@ -208,7 +210,7 @@ mod tests {
                 let x = [rng.uniform_range(-1.0, 1.0), rng.uniform_range(-1.0, 1.0)];
                 let t = 2.0 * x[0] - x[1];
                 let y = layer.forward(&x);
-                layer.backward(&x, &y, &[y[0] - t]);
+                layer.backward_into(&x, &y, &[y[0] - t], &mut [0.0; 2]);
                 batch_n += 1;
             }
             layer.step(0.02, batch_n);

@@ -925,6 +925,7 @@ mod tests {
         let mut data_rng = SintelRng::seed_from_u64(99);
         let seq_len = 6;
         let mut tape = LstmTape::new();
+        let mut dlast = vec![0.0; head.in_dim()];
         let mut final_loss = f64::INFINITY;
         for _ in 0..300 {
             let mut batch_loss = 0.0;
@@ -940,7 +941,7 @@ mod tests {
                 let y = head.forward(tape.last_hidden());
                 let err = y[0] - first;
                 batch_loss += 0.5 * err * err;
-                let dlast = head.backward(tape.last_hidden(), &y, &[err]);
+                head.backward_into(tape.last_hidden(), &y, &[err], &mut dlast);
                 lstm.backward_tape(xs, &mut tape, HiddenGrad::Last(&dlast), None);
             }
             lstm.step(0.01, batch);

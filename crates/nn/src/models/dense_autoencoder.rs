@@ -79,6 +79,10 @@ impl DenseAutoencoder {
         let mut rng = SintelRng::seed_from_u64(cfg.seed);
         let mut order: Vec<usize> = (0..windows.rows()).collect();
         let mut epoch_losses = Vec::with_capacity(cfg.epochs);
+        // Gradient rows reused across samples: `dy` into the layer being
+        // backpropagated, `dx` out of it (swapped after every layer).
+        let widest = self.layers.iter().map(Dense::in_dim).max().unwrap_or(0);
+        let (mut dy, mut dx) = (Vec::with_capacity(widest), Vec::with_capacity(widest));
         for _ in 0..cfg.epochs {
             if sintel_common::cancelled() {
                 return Err(NnError::Cancelled);
@@ -90,18 +94,17 @@ impl DenseAutoencoder {
                     let x = windows.row(idx);
                     let acts = self.forward_all(x);
                     let y = acts.last().expect("non-empty");
-                    let mut dy: Vec<f64> = y
-                        .iter()
-                        .zip(x.iter())
-                        .map(|(p, t)| {
-                            let d = p - t;
-                            epoch_loss += d * d;
-                            2.0 * d / x.len() as f64
-                        })
-                        .collect();
+                    dy.clear();
+                    dy.extend(y.iter().zip(x.iter()).map(|(p, t)| {
+                        let d = p - t;
+                        epoch_loss += d * d;
+                        2.0 * d / x.len() as f64
+                    }));
                     // Backprop through the stack.
                     for (k, layer) in self.layers.iter_mut().enumerate().rev() {
-                        dy = layer.backward(&acts[k], &acts[k + 1], &dy);
+                        dx.resize(layer.in_dim(), 0.0);
+                        layer.backward_into(&acts[k], &acts[k + 1], &dy, &mut dx);
+                        std::mem::swap(&mut dy, &mut dx);
                     }
                 }
                 for layer in &mut self.layers {

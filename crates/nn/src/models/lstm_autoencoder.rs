@@ -124,7 +124,7 @@ impl LstmAutoencoder {
                             epoch_loss += err * err;
                             *d = 2.0 * err / t_len as f64;
                         }
-                        dh.copy_from_slice(&self.head.backward(h, &y, &dy));
+                        self.head.backward_into(h, &y, &dy, dh);
                     }
                     // Through the decoder; its input at every step is the
                     // code, so the code's gradient is the sum over steps.

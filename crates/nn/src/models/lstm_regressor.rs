@@ -188,7 +188,7 @@ impl LstmRegressor {
         let (mut tape1, mut tape2) = (LstmTape::new(), LstmTape::new());
         // Gradient into the bottom layer's hidden states (`T x H`).
         let mut dh1 = vec![0.0; self.window * hidden];
-        let mut y = vec![0.0; 1];
+        let (mut y, mut dlast) = (vec![0.0; 1], vec![0.0; hidden]);
 
         for _ in 0..cfg.epochs {
             // Cooperative cancellation: a watchdogged run whose budget
@@ -209,7 +209,7 @@ impl LstmRegressor {
                     epoch_loss += err * err;
 
                     // Backward: head -> top LSTM (last step) -> bottom LSTM.
-                    let dlast = self.head.backward(tape2.last_hidden(), &y, &[2.0 * err]);
+                    self.head.backward_into(tape2.last_hidden(), &y, &[2.0 * err], &mut dlast);
                     self.l2.backward_tape(
                         hs1,
                         &mut tape2,

@@ -59,10 +59,19 @@ impl Mlp {
         (h, y)
     }
 
-    /// Backward; returns dx. Gradients accumulate in both layers.
-    fn backward(&mut self, x: &[f64], h: &[f64], y: &[f64], dy: &[f64]) -> Vec<f64> {
-        let dh = self.l2.backward(h, y, dy);
-        self.l1.backward(x, h, &dh)
+    /// Backward into `dx`, through the hidden row's gradient `dh`.
+    /// Gradients accumulate in both layers.
+    fn backward_into(
+        &mut self,
+        x: &[f64],
+        h: &[f64],
+        y: &[f64],
+        dy: &[f64],
+        dh: &mut [f64],
+        dx: &mut [f64],
+    ) {
+        self.l2.backward_into(h, y, dy, dh);
+        self.l1.backward_into(x, h, dh, dx);
     }
 
     fn step(&mut self, lr: f64, batch: usize) {
@@ -92,7 +101,7 @@ impl Mlp {
 }
 
 /// Reusable training buffers: one [`LstmTape`] per recurrent network
-/// plus the decoder's gradient buffers (DESIGN.md §4j).
+/// plus one gradient row per layer boundary (DESIGN.md §4j).
 struct Scratch {
     enc: LstmTape,
     gen: LstmTape,
@@ -102,6 +111,17 @@ struct Scratch {
     dx_dec: Vec<f64>,
     /// The latent code's gradient, summed over the generator's steps.
     dz: Vec<f64>,
+    /// Gradient into the encoder's last hidden state (`hidden`).
+    dh_enc: Vec<f64>,
+    /// One generator output step and its gradient (`channels`).
+    y_step: Vec<f64>,
+    dy_step: Vec<f64>,
+    /// Gradient into a critic's hidden layer (`hidden`).
+    dh_critic: Vec<f64>,
+    /// Gradient into `Cx`'s input window (`window x channels`).
+    dx_window: Vec<f64>,
+    /// Gradient into `Cz`'s input code (`latent`).
+    dx_code: Vec<f64>,
 }
 
 /// The TadGAN model over flattened windows.
@@ -243,14 +263,13 @@ impl TadGan {
             .zip(window.chunks_exact(self.channels))
             .zip(s.dh_dec.chunks_exact_mut(hidden));
         for ((h, x_t), dh) in steps {
-            let y = self.gen_head.forward(h);
-            let mut dy = Vec::with_capacity(self.channels);
-            for (&yc, &xc) in y.iter().zip(x_t) {
+            self.gen_head.forward_into(h, &mut s.y_step);
+            for ((d, &yc), &xc) in s.dy_step.iter_mut().zip(&s.y_step).zip(x_t) {
                 let err = yc - xc;
                 recon += err * err;
-                dy.push(RECON_WEIGHT * 2.0 * err / n);
+                *d = RECON_WEIGHT * 2.0 * err / n;
             }
-            dh.copy_from_slice(&self.gen_head.backward(h, &y, &dy));
+            self.gen_head.backward_into(h, &s.y_step, &s.dy_step, dh);
         }
         self.gen_lstm.backward_tape(
             dec_in,
@@ -264,8 +283,8 @@ impl TadGan {
                 *d += v;
             }
         }
-        let dh_enc_last = self.enc_head.backward(s.enc.last_hidden(), &z, &s.dz);
-        self.enc_lstm.backward_tape(xs, &mut s.enc, HiddenGrad::Last(&dh_enc_last), None);
+        self.enc_head.backward_into(s.enc.last_hidden(), &z, &s.dz, &mut s.dh_enc);
+        self.enc_lstm.backward_tape(xs, &mut s.enc, HiddenGrad::Last(&s.dh_enc), None);
         recon / n
     }
 
@@ -286,6 +305,12 @@ impl TadGan {
             dh_dec: vec![0.0; self.window * hidden],
             dx_dec: vec![0.0; self.window * self.latent],
             dz: vec![0.0; self.latent],
+            dh_enc: vec![0.0; hidden],
+            y_step: vec![0.0; self.channels],
+            dy_step: vec![0.0; self.channels],
+            dh_critic: vec![0.0; hidden],
+            dx_window: vec![0.0; self.window * self.channels],
+            dx_code: vec![0.0; self.latent],
         };
 
         for _ in 0..cfg.epochs {
@@ -303,16 +328,20 @@ impl TadGan {
                             (0..self.latent).map(|_| rng.normal(0.0, 1.0)).collect();
                         // Cx: maximise Cx(x) - Cx(G(z)).
                         let (hx, yx) = self.critic_x.forward(x);
-                        self.critic_x.backward(x, &hx, &yx, &[-1.0]);
+                        let (dh, dx) = (&mut s.dh_critic, &mut s.dx_window);
+                        self.critic_x.backward_into(x, &hx, &yx, &[-1.0], dh, dx);
                         let fake_x = self.decode(&z_prior, &mut s.gen);
                         let (hf, yf) = self.critic_x.forward(&fake_x);
-                        self.critic_x.backward(&fake_x, &hf, &yf, &[1.0]);
+                        let (dh, dx) = (&mut s.dh_critic, &mut s.dx_window);
+                        self.critic_x.backward_into(&fake_x, &hf, &yf, &[1.0], dh, dx);
                         // Cz: maximise Cz(z_prior) - Cz(E(x)).
                         let (hz, yz) = self.critic_z.forward(&z_prior);
-                        self.critic_z.backward(&z_prior, &hz, &yz, &[-1.0]);
+                        let (dh, dx) = (&mut s.dh_critic, &mut s.dx_code);
+                        self.critic_z.backward_into(&z_prior, &hz, &yz, &[-1.0], dh, dx);
                         let enc_z = self.encode(x, &mut s.enc);
                         let (he, ye) = self.critic_z.forward(&enc_z);
-                        self.critic_z.backward(&enc_z, &he, &ye, &[1.0]);
+                        let (dh, dx) = (&mut s.dh_critic, &mut s.dx_code);
+                        self.critic_z.backward_into(&enc_z, &he, &ye, &[1.0], dh, dx);
                     }
                     self.critic_x.step(cfg.learning_rate, chunk.len());
                     self.critic_z.step(cfg.learning_rate, chunk.len());
@@ -335,17 +364,18 @@ impl TadGan {
                         fake_x.extend(self.gen_head.forward(h));
                     }
                     let (hc, yc) = self.critic_x.forward(&fake_x);
-                    let dfake = self.critic_x.backward(&fake_x, &hc, &yc, &[-1.0]);
+                    let (dh, dfake) = (&mut s.dh_critic, &mut s.dx_window);
+                    self.critic_x.backward_into(&fake_x, &hc, &yc, &[-1.0], dh, dfake);
                     self.critic_x.zero_grad(); // critic frozen in this phase
                     let steps = s
                         .gen
                         .hidden_states()
                         .chunks_exact(hidden)
-                        .zip(dfake.chunks_exact(self.channels))
+                        .zip(s.dx_window.chunks_exact(self.channels))
                         .zip(s.dh_dec.chunks_exact_mut(hidden));
                     for ((h, dy), dh) in steps {
-                        let y = self.gen_head.forward(h);
-                        dh.copy_from_slice(&self.gen_head.backward(h, &y, dy));
+                        self.gen_head.forward_into(h, &mut s.y_step);
+                        self.gen_head.backward_into(h, &s.y_step, dy, dh);
                     }
                     self.gen_lstm.backward_tape(
                         dec_in,
@@ -359,10 +389,12 @@ impl TadGan {
                     self.enc_lstm.forward_tape(xs, &mut s.enc);
                     let z2 = self.enc_head.forward(s.enc.last_hidden());
                     let (hcz, ycz) = self.critic_z.forward(&z2);
-                    let dz2 = self.critic_z.backward(&z2, &hcz, &ycz, &[-1.0]);
+                    let (dh, dz2) = (&mut s.dh_critic, &mut s.dx_code);
+                    self.critic_z.backward_into(&z2, &hcz, &ycz, &[-1.0], dh, dz2);
                     self.critic_z.zero_grad();
-                    let dh_last = self.enc_head.backward(s.enc.last_hidden(), &z2, &dz2);
-                    self.enc_lstm.backward_tape(xs, &mut s.enc, HiddenGrad::Last(&dh_last), None);
+                    let dh_last = &mut s.dh_enc;
+                    self.enc_head.backward_into(s.enc.last_hidden(), &z2, &s.dx_code, dh_last);
+                    self.enc_lstm.backward_tape(xs, &mut s.enc, HiddenGrad::Last(&s.dh_enc), None);
                 }
                 self.enc_lstm.step(cfg.learning_rate, chunk.len());
                 self.enc_head.step(cfg.learning_rate, chunk.len());

@@ -641,6 +641,14 @@ fn params_eq(want: &[&[f64]], got: &[&[f64]]) -> Result<(), String> {
     Ok(())
 }
 
+/// [`Dense::backward_into`] into a fresh row: the specification loops
+/// allocate freely.
+fn dense_backward(layer: &mut Dense, x: &[f64], y: &[f64], dy: &[f64]) -> Vec<f64> {
+    let mut dx = vec![0.0; layer.in_dim()];
+    layer.backward_into(x, y, dy, &mut dx);
+    dx
+}
+
 /// Specification `LstmRegressor::fit`: the per-window cache loop.
 fn spec_regressor(case: &FitCase) -> (Vec<f64>, Vec<Vec<f64>>) {
     let FitCase { channels, hidden, .. } = *case;
@@ -663,7 +671,7 @@ fn spec_regressor(case: &FitCase) -> (Vec<f64>, Vec<Vec<f64>>) {
                 let y = head.forward(c2.last_hidden());
                 let err = y[0] - case.targets[idx];
                 epoch_loss += err * err;
-                let dlast = head.backward(c2.last_hidden(), &y, &[2.0 * err]);
+                let dlast = dense_backward(&mut head, c2.last_hidden(), &y, &[2.0 * err]);
                 let mut dh2 = vec![vec![0.0; hidden]; xs.len()];
                 dh2[xs.len() - 1] = dlast;
                 let dh1 = l2.backward(&c2, &dh2);
@@ -710,7 +718,7 @@ fn spec_autoencoder(case: &FitCase) -> (Vec<f64>, Vec<Vec<f64>>) {
                         epoch_loss += err * err;
                         dy.push(2.0 * err / t_len as f64);
                     }
-                    dh_dec[t] = head.backward(h, &y, &dy);
+                    dh_dec[t] = dense_backward(&mut head, h, &y, &dy);
                 }
                 let dxs_dec = dec.backward(&dec_cache, &dh_dec);
                 let mut dcode = vec![0.0; hidden];
@@ -757,8 +765,8 @@ impl SpecMlp {
         (h, y)
     }
     fn backward(&mut self, x: &[f64], h: &[f64], y: &[f64], dy: &[f64]) -> Vec<f64> {
-        let dh = self.l2.backward(h, y, dy);
-        self.l1.backward(x, h, &dh)
+        let dh = dense_backward(&mut self.l2, h, y, dy);
+        dense_backward(&mut self.l1, x, h, &dh)
     }
     fn step(&mut self, lr: f64, batch: usize) {
         self.l1.step(lr, batch);
@@ -836,7 +844,7 @@ fn spec_tadgan(case: &FitCase, latent: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
                         recon += err * err;
                         dy.push(RECON_WEIGHT * 2.0 * err / n);
                     }
-                    dh_dec[t] = gen_head.backward(h, &y, &dy);
+                    dh_dec[t] = dense_backward(&mut gen_head, h, &y, &dy);
                 }
                 let dxs_dec = gen_lstm.backward(&dec_cache, &dh_dec);
                 let mut dz = vec![0.0; latent];
@@ -845,7 +853,7 @@ fn spec_tadgan(case: &FitCase, latent: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
                         dz[k] += v;
                     }
                 }
-                let dh_last = enc_head.backward(enc_cache.last_hidden(), &z, &dz);
+                let dh_last = dense_backward(&mut enc_head, enc_cache.last_hidden(), &z, &dz);
                 let mut dh_enc = vec![vec![0.0; hidden]; window];
                 dh_enc[window - 1] = dh_last;
                 enc_lstm.backward(&enc_cache, &dh_enc);
@@ -862,7 +870,8 @@ fn spec_tadgan(case: &FitCase, latent: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
                 for t in 0..window {
                     let h = &dec_cache.hidden_states()[t];
                     let y = gen_head.forward(h);
-                    dh_dec[t] = gen_head.backward(h, &y, &dfake[t * channels..(t + 1) * channels]);
+                    let dy = &dfake[t * channels..(t + 1) * channels];
+                    dh_dec[t] = dense_backward(&mut gen_head, h, &y, dy);
                 }
                 gen_lstm.backward(&dec_cache, &dh_dec);
                 // Encoder fools Cz.
@@ -871,7 +880,7 @@ fn spec_tadgan(case: &FitCase, latent: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
                 let (hcz, ycz) = critic_z.forward(&z2);
                 let dz2 = critic_z.backward(&z2, &hcz, &ycz, &[-1.0]);
                 critic_z.zero_grad();
-                let dh_last = enc_head.backward(enc_cache.last_hidden(), &z2, &dz2);
+                let dh_last = dense_backward(&mut enc_head, enc_cache.last_hidden(), &z2, &dz2);
                 let mut dh_enc = vec![vec![0.0; hidden]; window];
                 dh_enc[window - 1] = dh_last;
                 enc_lstm.backward(&enc_cache, &dh_enc);

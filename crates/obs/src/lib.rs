@@ -52,27 +52,6 @@ pub use crate::span::{
     EventKind, SpanGuard, TraceEvent, TraceFlushGuard,
 };
 
-/// Process-wide instrumentation switch (default: on).
-///
-/// When off, the *global*-registry convenience helpers
-/// ([`counter_add`], [`gauge_set`], [`observe`], [`observe_duration`])
-/// and the rollup helpers ([`rollup_add`], [`rollup_observe`],
-/// [`rollup_tick`]) become no-ops, so `obs_bench` can measure the true
-/// overhead of instrumentation on a hot ingest path. Explicit
-/// [`Registry`]/[`Rollups`] instances are never gated — tests that own
-/// a private registry always see their writes.
-static INSTRUMENTATION: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Turn the global instrumentation helpers on or off.
-pub fn set_instrumentation(on: bool) {
-    INSTRUMENTATION.store(on, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Whether the global instrumentation helpers are currently enabled.
-pub fn instrumentation_on() -> bool {
-    INSTRUMENTATION.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// A structured field value attached to log records, spans and trace
 /// events.
 #[derive(Debug, Clone, PartialEq)]

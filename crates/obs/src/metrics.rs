@@ -241,36 +241,24 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::default)
 }
 
-/// [`Registry::counter_add`] on the global registry (no-op while
-/// [`crate::set_instrumentation`] is off).
+/// [`Registry::counter_add`] on the global registry.
 pub fn counter_add(name: &str, by: u64) {
-    if crate::instrumentation_on() {
-        global().counter_add(name, by);
-    }
+    global().counter_add(name, by);
 }
 
-/// [`Registry::gauge_set`] on the global registry (no-op while
-/// [`crate::set_instrumentation`] is off).
+/// [`Registry::gauge_set`] on the global registry.
 pub fn gauge_set(name: &str, value: f64) {
-    if crate::instrumentation_on() {
-        global().gauge_set(name, value);
-    }
+    global().gauge_set(name, value);
 }
 
-/// [`Registry::observe`] on the global registry (no-op while
-/// [`crate::set_instrumentation`] is off).
+/// [`Registry::observe`] on the global registry.
 pub fn observe(name: &str, seconds: f64) {
-    if crate::instrumentation_on() {
-        global().observe(name, seconds);
-    }
+    global().observe(name, seconds);
 }
 
-/// [`Registry::observe_duration`] on the global registry (no-op while
-/// [`crate::set_instrumentation`] is off).
+/// [`Registry::observe_duration`] on the global registry.
 pub fn observe_duration(name: &str, d: Duration) {
-    if crate::instrumentation_on() {
-        global().observe_duration(name, d);
-    }
+    global().observe_duration(name, d);
 }
 
 /// Canonical labeled metric name: `name{k="v",k2="v2"}`.

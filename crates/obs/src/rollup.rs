@@ -19,9 +19,8 @@
 //! * **observe** — a [`Histogram`] per tick (pass latency, …), merged
 //!   across the window for quantiles.
 //!
-//! Like the metrics registry, there is a process [`rollups`] registry
-//! gated by [`crate::set_instrumentation`], and tests can own private
-//! [`Rollups`] instances that are never gated.
+//! Like the metrics registry, there is a process [`rollups`] registry,
+//! and tests can own private [`Rollups`] instances.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -216,30 +215,19 @@ pub fn rollups() -> &'static Rollups {
     GLOBAL.get_or_init(Rollups::default)
 }
 
-/// [`Rollups::add`] on the process registry (no-op while
-/// [`crate::set_instrumentation`] is off).
+/// [`Rollups::add`] on the process registry.
 pub fn rollup_add(name: &str, by: u64) {
-    if crate::instrumentation_on() {
-        rollups().add(name, by);
-    }
+    rollups().add(name, by);
 }
 
-/// [`Rollups::observe`] on the process registry (no-op while
-/// [`crate::set_instrumentation`] is off).
+/// [`Rollups::observe`] on the process registry.
 pub fn rollup_observe(name: &str, seconds: f64) {
-    if crate::instrumentation_on() {
-        rollups().observe(name, seconds);
-    }
+    rollups().observe(name, seconds);
 }
 
-/// [`Rollups::tick`] on the process registry; returns 0 without
-/// advancing while [`crate::set_instrumentation`] is off.
+/// [`Rollups::tick`] on the process registry.
 pub fn rollup_tick() -> u64 {
-    if crate::instrumentation_on() {
-        rollups().tick()
-    } else {
-        0
-    }
+    rollups().tick()
 }
 
 /// One series in a [`RollupSnapshot`].

@@ -157,6 +157,34 @@ fn lstm_fit_allocations_do_not_grow_with_window_length() {
     );
 }
 
+/// `LstmRegressor::fit` backpropagates the head through one reused
+/// gradient row (`Dense::backward_into`): its allocation count does not
+/// depend on how many windows it trains on. A per-sample gradient
+/// `Vec` would make the 96-window fit allocate four times as often as
+/// the 24-window one.
+#[test]
+fn lstm_fit_allocations_do_not_grow_with_window_count() {
+    let window = 12;
+    let cfg = sintel_nn::TrainConfig { epochs: 2, batch_size: 8, learning_rate: 0.01, seed: 3 };
+    let fit_events = |n: usize| {
+        let flat: Vec<f64> = (0..n * window).map(|i| (i as f64 * 0.07).sin()).collect();
+        let windows = Matrix::from_vec(n, window, flat);
+        let targets: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
+        let mut model = LstmRegressor::new(window, 1, 6, 5);
+        let (events, losses) = alloc_events(|| model.fit(&windows, &targets, &cfg).unwrap());
+        assert_eq!(losses.len(), cfg.epochs);
+        events
+    };
+    fit_events(24); // warm-up
+    let few = fit_events(24);
+    let many = fit_events(96);
+    assert_eq!(
+        few, many,
+        "LstmRegressor::fit allocation count grew with the window count \
+         ({few} events for 24 windows vs {many} for 96)"
+    );
+}
+
 /// Built-in primitives share one metadata instance per type, built on
 /// first use: constructing a primitive (every `Sintel::new` and every
 /// serve pass builds a whole pipeline) allocates only the box and the

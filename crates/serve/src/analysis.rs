@@ -19,7 +19,10 @@
 //!   working pipeline for a statically dead one;
 //! * **SA013** — load shedding misconfigured: fires always
 //!   (`high_water == 0` with sheddable tenants) or provably never
-//!   (a finite high-water mark no backlog or roster can reach);
+//!   (a finite high-water mark the bounded queues cannot reach). A
+//!   roster with no tenant below the priority floor is not flagged:
+//!   every tenant is protected, and `Retry` backpressure still bounds
+//!   the queues;
 //! * **SA014** — an open circuit breaker can never half-open again
 //!   (`breaker_cooldown` overflows the pass clock).
 //!
@@ -160,25 +163,14 @@ fn check_shedding(cfg: &ServeConfig, specs: &[TenantSpec], report: &mut Report) 
         ));
         return;
     }
-    // A finite high-water mark that provably can never fire is inert
-    // protection: either nothing is sheddable, or the bounded queues
-    // cannot accumulate that much backlog in the first place.
-    if cfg.high_water == usize::MAX || specs.is_empty() {
+    // A finite high-water mark the bounded queues cannot accumulate is
+    // inert protection for the sheddable tenants. An all-protected
+    // roster is a valid deployment: `Retry` backpressure bounds it.
+    if cfg.high_water == usize::MAX || !sheddable {
         return;
     }
     let max_backlog = specs.len().saturating_mul(cfg.queue_capacity);
-    if !sheddable {
-        report.push(Diagnostic::warn(
-            Code::SheddingConfig,
-            0,
-            CONFIG_STEP,
-            format!(
-                "no tenant's priority is below the floor ({}); load shedding can never fire",
-                cfg.priority_floor
-            ),
-            "register at least one sheddable tenant or set priority_floor to 0",
-        ));
-    } else if max_backlog < cfg.high_water {
+    if max_backlog < cfg.high_water {
         report.push(Diagnostic::warn(
             Code::SheddingConfig,
             0,

@@ -77,6 +77,15 @@ pub enum StoreError {
         /// What was wrong with it.
         cause: String,
     },
+    /// A write-ahead-log record failed its framing checks (short
+    /// header, impossible length, checksum mismatch, non-UTF-8
+    /// payload): the signature of a crash mid-append.
+    TornRecord {
+        /// Byte offset of the record in the log.
+        offset: usize,
+        /// Which framing check failed.
+        cause: &'static str,
+    },
     /// A crash injected by the `faulty` fault-injection layer
     /// ([`wal::fault`]); carries the crash-point label. Test-only.
     #[cfg(feature = "faulty")]
@@ -94,6 +103,9 @@ impl std::fmt::Display for StoreError {
             StoreError::Schema(m) => write!(f, "schema error: {m}"),
             StoreError::Corrupt { collection, line, cause } => {
                 write!(f, "corrupt snapshot for '{collection}' at line {line}: {cause}")
+            }
+            StoreError::TornRecord { offset, cause } => {
+                write!(f, "torn wal record at byte {offset}: {cause}")
             }
             #[cfg(feature = "faulty")]
             StoreError::Injected(point) => write!(f, "injected crash at {point}"),

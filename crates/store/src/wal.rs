@@ -315,22 +315,14 @@ impl Wal {
         let mut replay = Replay::default();
         let mut off = 0usize;
         while off < bytes.len() {
-            match read_record(&bytes, off) {
-                Some((payload, next)) => match decode_batch(payload) {
-                    Ok(ops) => {
-                        replay.batches.push(ops);
-                        off = next;
-                    }
-                    Err(_) => {
-                        replay.truncated_at = Some(off as u64);
-                        break;
-                    }
-                },
-                None => {
-                    replay.truncated_at = Some(off as u64);
-                    break;
-                }
-            }
+            let record = read_record(&bytes, off)
+                .and_then(|(payload, next)| Ok((decode_batch(payload)?, next)));
+            let Ok((ops, next)) = record else {
+                replay.truncated_at = Some(off as u64);
+                break;
+            };
+            replay.batches.push(ops);
+            off = next;
         }
         if replay.truncated_at.is_some() {
             file.set_len(off as u64).map_err(io_err)?;
@@ -345,17 +337,13 @@ impl Wal {
     /// `sync_data`'d before returning: a successful append is durable.
     pub fn append(&mut self, payload: &str) -> Result<()> {
         crash_point!(BeforeAppend, Err);
-        let bytes = payload.as_bytes();
-        let mut record = Vec::with_capacity(HEADER_BYTES + bytes.len());
-        record.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        record.extend_from_slice(&crc32(bytes).to_le_bytes());
-        record.extend_from_slice(bytes);
+        let record = encode_record(payload);
 
         #[cfg(feature = "faulty")]
         if fault::take(fault::CrashPoint::MidAppend) {
             // A torn write: the header plus half the payload hit the
             // disk, then the machine dies.
-            let torn = HEADER_BYTES + bytes.len() / 2;
+            let torn = HEADER_BYTES + payload.len() / 2;
             let partial = record.get(..torn).unwrap_or(&record);
             self.file.write_all(partial).map_err(io_err)?;
             self.file.sync_data().map_err(io_err)?;
@@ -406,22 +394,40 @@ impl Wal {
     }
 }
 
-/// Decode the record starting at `off`; `None` marks a torn/corrupt
-/// tail (short header, impossible length, bad checksum, non-UTF-8).
-fn read_record(bytes: &[u8], off: usize) -> Option<(&str, usize)> {
-    let header = bytes.get(off..off + HEADER_BYTES)?;
-    let len = u32::from_le_bytes(header.get(..4)?.try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(header.get(4..8)?.try_into().ok()?);
+/// Frame one record: the header (payload length, CRC-32) followed by
+/// the payload bytes — the exact bytes [`Wal::append`] writes.
+pub fn encode_record(payload: &str) -> Vec<u8> {
+    let bytes = payload.as_bytes();
+    let mut record = Vec::with_capacity(HEADER_BYTES + bytes.len());
+    record.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    record.extend_from_slice(&crc32(bytes).to_le_bytes());
+    record.extend_from_slice(bytes);
+    record
+}
+
+/// Decode the record starting at byte `off` of a log image: its payload
+/// and the offset of the next record. A torn or corrupt record (short
+/// header, impossible length, bad checksum, non-UTF-8 payload) is a
+/// [`StoreError::TornRecord`]; replay truncates the log there. Never
+/// allocates: the payload borrows from `bytes`.
+pub fn read_record(bytes: &[u8], off: usize) -> Result<(&str, usize)> {
+    let torn = |cause| StoreError::TornRecord { offset: off, cause };
+    let header = off.checked_add(HEADER_BYTES).and_then(|end| bytes.get(off..end));
+    let Some(&[l0, l1, l2, l3, c0, c1, c2, c3]) = header else {
+        return Err(torn("short header"));
+    };
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let crc = u32::from_le_bytes([c0, c1, c2, c3]);
     if len > MAX_RECORD_BYTES {
-        return None;
+        return Err(torn("length exceeds the record limit"));
     }
     let start = off + HEADER_BYTES;
-    let payload = bytes.get(start..start.checked_add(len)?)?;
+    let payload = bytes.get(start..start + len).ok_or_else(|| torn("payload runs past the end"))?;
     if crc32(payload) != crc {
-        return None;
+        return Err(torn("checksum mismatch"));
     }
-    let text = std::str::from_utf8(payload).ok()?;
-    Some((text, start + len))
+    let text = std::str::from_utf8(payload).map_err(|_| torn("payload is not UTF-8"))?;
+    Ok((text, start + len))
 }
 
 #[cfg(test)]
