@@ -208,6 +208,32 @@ pub mod shrinks {
     }
 }
 
+/// Stock generators shared by property suites.
+pub mod gens {
+    use crate::rng::SintelRng;
+
+    /// A string of up to 7 segments that stress a JSON string codec.
+    /// Each segment is a long plain ASCII run, an escaped character, a
+    /// raw control character, or a multi-byte code point.
+    pub fn escape_heavy_string(rng: &mut SintelRng) -> String {
+        const ESCAPED: &[char] = &['"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}'];
+        const WIDE: &[char] = &['é', 'ß', '€', '信', '号', '\u{FFFD}', '🚀', '\u{10FFFF}'];
+        let mut out = String::new();
+        for _ in 0..rng.index(8) {
+            match rng.index(4) {
+                0 => {
+                    let len = rng.index(200);
+                    out.extend((0..len).map(|_| (b' ' + rng.index(95) as u8) as char));
+                }
+                1 => out.push(*rng.choice(ESCAPED)),
+                2 => out.push(char::from(rng.index(0x20) as u8)),
+                _ => out.push(*rng.choice(WIDE)),
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

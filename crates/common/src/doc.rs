@@ -1,4 +1,4 @@
-//! The JSON-like document value.
+//! The JSON-like document value, re-exported as [`crate::json::Doc`].
 
 use std::collections::BTreeMap;
 
@@ -151,14 +151,16 @@ impl From<i64> for Doc {
         Doc::I64(v)
     }
 }
+/// Exact up to `i64::MAX`; a larger value becomes the nearest `F64`
+/// rather than wrapping to a negative integer.
 impl From<u64> for Doc {
     fn from(v: u64) -> Doc {
-        Doc::I64(v as i64)
+        i64::try_from(v).map_or(Doc::F64(v as f64), Doc::I64)
     }
 }
 impl From<usize> for Doc {
     fn from(v: usize) -> Doc {
-        Doc::I64(v as i64)
+        Doc::from(v as u64)
     }
 }
 impl From<f64> for Doc {
@@ -223,6 +225,13 @@ mod tests {
         assert_eq!(Doc::F64(3.0).as_i64(), Some(3));
         assert_eq!(Doc::F64(3.5).as_i64(), None);
         assert_eq!(Doc::I64(3).as_f64(), Some(3.0));
+    }
+
+    #[test]
+    fn unsigned_conversions_never_wrap() {
+        assert_eq!(Doc::from(i64::MAX as u64), Doc::I64(i64::MAX));
+        assert_eq!(Doc::from(u64::MAX), Doc::F64(u64::MAX as f64));
+        assert_eq!(Doc::from(usize::MAX), Doc::F64(usize::MAX as f64));
     }
 
     #[test]

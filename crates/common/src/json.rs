@@ -1,12 +1,33 @@
-//! In-repo JSON serializer/parser for [`Doc`] (no external dependency —
-//! the workspace's allowed-crate list has `serde` but no `serde_json`,
-//! and the store needs exact control over number round-tripping anyway).
+//! The workspace's one JSON codec: [`Doc`] and its serializer/parser
+//! (no external dependency — the workspace's allowed-crate list has
+//! `serde` but no `serde_json`, and the knowledge base needs exact
+//! control over number round-tripping anyway). The store's snapshots
+//! and WAL, obs's trace lines and metrics dumps, and serve's status
+//! payloads all go through it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::doc::Doc;
-use crate::{Result, StoreError};
+pub use crate::doc::Doc;
+
+/// A JSON parse failure.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParseError {
+    /// Byte offset of the failure.
+    pub offset: usize,
+    /// What went wrong.
+    pub message: String,
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "json parse error at byte {}: {}", self.offset, self.message)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+type Result<T> = std::result::Result<T, ParseError>;
 
 /// Serialize a document to compact JSON.
 pub fn to_json(doc: &Doc) -> String {
@@ -79,11 +100,11 @@ fn write_string(s: &str, out: &mut String) {
 
 /// Deepest container nesting [`from_json`] accepts. The parser
 /// recurses once per level, so unbounded input nesting would overflow
-/// the stack; every document the store writes is far shallower.
-const MAX_DEPTH: usize = 128;
+/// the stack; every document the workspace writes is far shallower.
+pub const MAX_DEPTH: usize = 128;
 
 /// Parse a JSON document. Arrays and objects nested more than
-/// `MAX_DEPTH` (128) levels deep are a [`StoreError::Parse`].
+/// [`MAX_DEPTH`] (128) levels deep are a [`ParseError`].
 pub fn from_json(input: &str) -> Result<Doc> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
@@ -91,13 +112,13 @@ pub fn from_json(input: &str) -> Result<Doc> {
     let doc = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(StoreError::Parse { offset: pos, message: "trailing characters".into() });
+        return Err(err(pos, "trailing characters"));
     }
     Ok(doc)
 }
 
-fn err(pos: usize, message: &str) -> StoreError {
-    StoreError::Parse { offset: pos, message: message.to_string() }
+fn err(pos: usize, message: &str) -> ParseError {
+    ParseError { offset: pos, message: message.to_string() }
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -278,8 +299,9 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Doc> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sintel_common::check;
-    use sintel_common::SintelRng;
+    use crate::check;
+    use crate::check::gens::escape_heavy_string;
+    use crate::SintelRng;
 
     #[test]
     fn roundtrip_scalars() {
@@ -340,7 +362,7 @@ mod tests {
     fn parse_errors_reported_with_offset() {
         for bad in ["{", "[1,", "\"unterminated", "{\"a\" 1}", "tru", "1.2.3", "", "[1] x"] {
             let e = from_json(bad).unwrap_err();
-            assert!(matches!(e, StoreError::Parse { .. }), "{bad}: {e:?}");
+            assert!(matches!(e, ParseError { .. }), "{bad}: {e:?}");
         }
     }
 
@@ -395,39 +417,15 @@ mod tests {
         }
     }
 
-    /// One string "segment": a long plain ASCII run, an escaped
-    /// character, a raw control character, or a multi-byte code point.
-    fn random_segment(rng: &mut SintelRng, out: &mut String) {
-        const ESCAPED: &[char] = &['"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}'];
-        const WIDE: &[char] = &['é', 'ß', '€', '信', '号', '\u{FFFD}', '🚀', '\u{10FFFF}'];
-        match rng.index(4) {
-            0 => {
-                let len = rng.index(200);
-                out.extend((0..len).map(|_| (b' ' + rng.index(95) as u8) as char));
-            }
-            1 => out.push(*rng.choice(ESCAPED)),
-            2 => out.push(char::from(rng.index(0x20) as u8)),
-            _ => out.push(*rng.choice(WIDE)),
-        }
-    }
-
-    fn random_rich_string(rng: &mut SintelRng) -> String {
-        let mut s = String::new();
-        for _ in 0..rng.index(8) {
-            random_segment(rng, &mut s);
-        }
-        s
-    }
-
     /// A bare string, an array of strings or an object of string keys
     /// and values: every proper prefix of its encoding is incomplete.
     fn random_string_doc(rng: &mut SintelRng) -> Doc {
         match rng.index(3) {
-            0 => Doc::Str(random_rich_string(rng)),
-            1 => Doc::Arr((0..rng.index(4)).map(|_| Doc::Str(random_rich_string(rng))).collect()),
+            0 => Doc::Str(escape_heavy_string(rng)),
+            1 => Doc::Arr((0..rng.index(4)).map(|_| Doc::Str(escape_heavy_string(rng))).collect()),
             _ => Doc::Obj(
                 (0..rng.index(4))
-                    .map(|_| (random_rich_string(rng), Doc::Str(random_rich_string(rng))))
+                    .map(|_| (escape_heavy_string(rng), Doc::Str(escape_heavy_string(rng))))
                     .collect(),
             ),
         }
@@ -448,7 +446,7 @@ mod tests {
                 }
                 for cut in (0..json.len()).filter(|&i| json.is_char_boundary(i)) {
                     match from_json(&json[..cut]) {
-                        Err(StoreError::Parse { .. }) => {}
+                        Err(ParseError { .. }) => {}
                         other => return Err(format!("prefix {cut} of {json:?}: {other:?}")),
                     }
                 }
@@ -474,17 +472,17 @@ mod tests {
         for nested in [arrays, objects] {
             assert!(from_json(&nested(MAX_DEPTH)).is_ok());
             let e = from_json(&nested(MAX_DEPTH + 1)).unwrap_err();
-            assert!(matches!(e, StoreError::Parse { .. }), "{e:?}");
+            assert!(matches!(e, ParseError { .. }), "{e:?}");
         }
         // Deep enough to overflow the stack without the bound.
         let e = from_json(&"[".repeat(1_000_000)).unwrap_err();
-        assert!(matches!(e, StoreError::Parse { .. }), "{e:?}");
+        assert!(matches!(e, ParseError { .. }), "{e:?}");
     }
 
     #[test]
     fn bad_unicode_escapes_are_parse_errors() {
         for bad in [r#""\u12""#, r#""\u+123""#, r#""\uzzzz""#, r#""\u"#, r#""\q""#] {
-            assert!(matches!(from_json(bad), Err(StoreError::Parse { .. })), "{bad}");
+            assert!(matches!(from_json(bad), Err(ParseError { .. })), "{bad}");
         }
         assert_eq!(from_json(r#""\u00e9\/""#).unwrap(), Doc::Str("é/".into()));
     }

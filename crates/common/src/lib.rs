@@ -6,8 +6,9 @@
 //! a deterministic random number generator with the distributions the
 //! framework needs (uniform, normal, choice, shuffle), a deterministic
 //! parallel fan-out substrate ([`par`]), an in-tree property-testing
-//! harness ([`check`]), and a handful of numeric helpers used across
-//! crates.
+//! harness ([`check`]), the workspace's one JSON codec ([`json`]: the
+//! [`json::Doc`] document value with its writer and parser), and a
+//! handful of numeric helpers used across crates.
 //!
 //! Everything in the workspace that needs randomness goes through
 //! [`SintelRng`] so that experiments are reproducible from a single
@@ -16,6 +17,8 @@
 
 pub mod cancel;
 pub mod check;
+mod doc;
+pub mod json;
 pub mod numeric;
 pub mod par;
 pub mod rng;

@@ -66,14 +66,14 @@ const VOLATILE_FIELDS: [&str; 5] =
     ["train_seconds", "detect_seconds", "peak_memory_bytes", "prometheus", "json"];
 
 fn scrub_line(line: &str) -> String {
-    let doc = sintel_store::json::from_json(line).expect("store line parses");
+    let doc = sintel_common::json::from_json(line).expect("store line parses");
     let mut doc = doc;
     for field in VOLATILE_FIELDS {
         if doc.get(field).is_some() {
             doc = doc.with(field, "<volatile>");
         }
     }
-    sintel_store::json::to_json(&doc)
+    sintel_common::json::to_json(&doc)
 }
 
 /// Every persisted collection file, sorted by name, with volatile

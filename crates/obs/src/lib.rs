@@ -4,9 +4,10 @@
 //!
 //! The observability substrate of the Sintel reproduction: structured
 //! logging, nested spans with a replayable trace, and a metrics
-//! registry. Like `sintel-store`, it is dependency-free and sits at the
-//! bottom of the workspace graph so every other crate can instrument
-//! itself without pulling anything in.
+//! registry. It sits at the bottom of the workspace graph, above only
+//! `sintel-common` (whose [`sintel_common::json`] codec writes and
+//! reads every trace line and metrics dump), so every other crate can
+//! instrument itself without pulling anything else in.
 //!
 //! Three layers, all sharing the [`FieldValue`] structured-field type:
 //!
@@ -27,6 +28,8 @@
 //!   latency histograms (p50/p90/p99), dumpable as Prometheus-style
 //!   text ([`MetricsSnapshot::to_prometheus`]) or JSON
 //!   ([`MetricsSnapshot::to_json`]).
+
+use sintel_common::json::Doc;
 
 pub mod catalog;
 pub mod log;
@@ -66,21 +69,6 @@ pub enum FieldValue {
     Float(f64),
     /// A boolean.
     Bool(bool),
-}
-
-impl FieldValue {
-    /// Render as a JSON value fragment (non-finite floats become
-    /// `null`, which keeps every exported line parseable).
-    pub fn to_json(&self) -> String {
-        match self {
-            FieldValue::Str(s) => json_string(s),
-            FieldValue::Int(v) => v.to_string(),
-            FieldValue::UInt(v) => v.to_string(),
-            FieldValue::Float(v) if v.is_finite() => format_f64(*v),
-            FieldValue::Float(_) => "null".to_string(),
-            FieldValue::Bool(b) => b.to_string(),
-        }
-    }
 }
 
 impl std::fmt::Display for FieldValue {
@@ -151,51 +139,29 @@ impl From<std::time::Duration> for FieldValue {
     }
 }
 
-/// Format an `f64` so it round-trips as JSON (always with enough
-/// precision, never in a locale-dependent way).
+/// The JSON value of a field (a `UInt` above `i64::MAX` becomes a
+/// float; the writer turns a non-finite float into `null`).
+impl From<&FieldValue> for Doc {
+    fn from(v: &FieldValue) -> Doc {
+        match v {
+            FieldValue::Str(s) => Doc::Str(s.clone()),
+            FieldValue::Int(v) => Doc::I64(*v),
+            FieldValue::UInt(v) => Doc::from(*v),
+            FieldValue::Float(v) => Doc::F64(*v),
+            FieldValue::Bool(b) => Doc::Bool(*b),
+        }
+    }
+}
+
+/// Format an `f64` as a Prometheus text sample value (never in a
+/// locale-dependent way). JSON goes through [`sintel_common::json`].
 pub(crate) fn format_f64(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
-        // Keep integral floats readable ("3" not "3.0" is invalid JSON
-        // as a float marker is not required, but emit ".0" for clarity).
+        // Integral values keep a ".0" so a sample reads as a float.
         format!("{v:.1}")
     } else {
-        let s = format!("{v}");
-        s
+        format!("{v}")
     }
-}
-
-/// JSON-escape a string, with surrounding quotes.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Render a field list as a JSON object fragment (`{"k":"v",...}`).
-pub(crate) fn fields_to_json(fields: &[(String, FieldValue)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(k));
-        out.push(':');
-        out.push_str(&v.to_json());
-    }
-    out.push('}');
-    out
 }
 
 /// Log at a level with structured fields:
@@ -245,14 +211,20 @@ macro_rules! trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sintel_common::json::to_json;
+
+    fn json(v: impl Into<FieldValue>) -> String {
+        to_json(&Doc::from(&v.into()))
+    }
 
     #[test]
     fn field_value_json_fragments() {
-        assert_eq!(FieldValue::from("a\"b").to_json(), "\"a\\\"b\"");
-        assert_eq!(FieldValue::from(3i64).to_json(), "3");
-        assert_eq!(FieldValue::from(2.5f64).to_json(), "2.5");
-        assert_eq!(FieldValue::from(f64::NAN).to_json(), "null");
-        assert_eq!(FieldValue::from(true).to_json(), "true");
+        assert_eq!(json("a\"b"), "\"a\\\"b\"");
+        assert_eq!(json(3i64), "3");
+        assert_eq!(json(2.5f64), "2.5");
+        assert_eq!(json(f64::NAN), "null");
+        assert_eq!(json(true), "true");
+        assert_eq!(json(u64::MAX), "1.8446744073709552e19");
         assert_eq!(
             FieldValue::from(std::time::Duration::from_millis(1500)),
             FieldValue::Float(1.5)
@@ -260,15 +232,23 @@ mod tests {
     }
 
     #[test]
-    fn json_string_escapes_controls() {
-        assert_eq!(json_string("a\nb\t\u{1}"), "\"a\\nb\\t\\u0001\"");
+    fn field_strings_escape_controls() {
+        assert_eq!(json("a\nb\t\u{1}"), "\"a\\nb\\t\\u0001\"");
     }
 
     #[test]
-    fn fields_to_json_shape() {
-        let fields =
-            vec![("a".to_string(), FieldValue::Int(1)), ("b".to_string(), "x".into())];
-        assert_eq!(fields_to_json(&fields), "{\"a\":1,\"b\":\"x\"}");
-        assert_eq!(fields_to_json(&[]), "{}");
+    fn trace_fields_render_as_one_object() {
+        let mut event = TraceEvent {
+            kind: EventKind::Open,
+            id: 1,
+            parent: None,
+            name: "s".to_string(),
+            ts_ns: 0,
+            duration_ns: None,
+            fields: vec![("a".to_string(), FieldValue::Int(1)), ("b".to_string(), "x".into())],
+        };
+        assert!(event.to_json().contains("\"fields\":{\"a\":1,\"b\":\"x\"}"));
+        event.fields.clear();
+        assert!(!event.to_json().contains("fields"));
     }
 }

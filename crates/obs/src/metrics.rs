@@ -11,7 +11,9 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use crate::{format_f64, json_string};
+use sintel_common::json::{self, Doc};
+
+use crate::format_f64;
 
 /// Number of histogram buckets. Bucket `i` covers
 /// `(ub(i-1), ub(i)]` seconds with `ub(i) = 1e-6 * 2^i`: 1 µs up to
@@ -355,45 +357,31 @@ impl MetricsSnapshot {
         out
     }
 
-    /// JSON object dump: `{"name":{"type":…,…},…}`.
+    /// JSON object dump: `{"name":{"type":…,…},…}`, keys sorted.
+    /// Non-finite values are written as `null`, so the dump is always
+    /// JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, metric)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let metric_doc = |metric: &Metric| match metric {
+            Metric::Counter(v) => Doc::obj().with("type", "counter").with("value", *v),
+            Metric::Gauge(v) => Doc::obj().with("type", "gauge").with("value", *v),
+            Metric::Histogram(h) => {
+                let buckets: Vec<Doc> = h
+                    .nonzero_buckets()
+                    .into_iter()
+                    .map(|(ub, n)| Doc::Arr(vec![ub.into(), n.into()]))
+                    .collect();
+                Doc::obj()
+                    .with("type", "histogram")
+                    .with("count", h.count())
+                    .with("sum", h.sum())
+                    .with("p50", h.quantile(0.5))
+                    .with("p90", h.quantile(0.9))
+                    .with("p99", h.quantile(0.99))
+                    .with("buckets", buckets)
             }
-            out.push_str(&json_string(name));
-            out.push(':');
-            match metric {
-                Metric::Counter(v) => {
-                    out.push_str(&format!("{{\"type\":\"counter\",\"value\":{v}}}"));
-                }
-                Metric::Gauge(v) => {
-                    out.push_str(&format!(
-                        "{{\"type\":\"gauge\",\"value\":{}}}",
-                        if v.is_finite() { format_f64(*v) } else { "null".to_string() }
-                    ));
-                }
-                Metric::Histogram(h) => {
-                    let buckets: Vec<String> = h
-                        .nonzero_buckets()
-                        .iter()
-                        .map(|(ub, n)| format!("[{},{n}]", format_f64(*ub)))
-                        .collect();
-                    out.push_str(&format!(
-                        "{{\"type\":\"histogram\",\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}",
-                        h.count(),
-                        format_f64(h.sum()),
-                        format_f64(h.quantile(0.5)),
-                        format_f64(h.quantile(0.9)),
-                        format_f64(h.quantile(0.99)),
-                        buckets.join(",")
-                    ));
-                }
-            }
-        }
-        out.push('}');
-        out
+        };
+        let doc = self.metrics.iter().map(|(name, m)| (name.clone(), metric_doc(m))).collect();
+        json::to_json(&Doc::Obj(doc))
     }
 }
 
@@ -511,15 +499,22 @@ mod tests {
     }
 
     #[test]
-    fn json_dump_is_parseable_by_span_parser_grammar() {
+    fn json_dump_parses() {
         let r = Registry::new();
         r.counter_add("c", 1);
         r.gauge_set("g", 2.5);
+        r.gauge_set("big", 1e20);
         r.observe("h", 0.003);
-        let json = r.snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"c\":{\"type\":\"counter\",\"value\":1}"));
-        assert!(json.contains("\"type\":\"histogram\""));
-        assert!(json.contains("\"p50\":"));
+        r.observe("inf", f64::INFINITY);
+        let doc = json::from_json(&r.snapshot().to_json()).expect("metrics dump is JSON");
+        assert_eq!(doc.path("c.type").and_then(Doc::as_str), Some("counter"));
+        assert_eq!(doc.path("c.value").and_then(Doc::as_i64), Some(1));
+        assert_eq!(doc.path("g.value").and_then(Doc::as_f64), Some(2.5));
+        assert_eq!(doc.path("big.value").and_then(Doc::as_f64), Some(1e20));
+        assert_eq!(doc.path("h.type").and_then(Doc::as_str), Some("histogram"));
+        assert_eq!(doc.path("h.count").and_then(Doc::as_i64), Some(1));
+        assert!(doc.path("h.p50").and_then(Doc::as_f64).is_some());
+        assert_eq!(doc.path("inf.sum"), Some(&Doc::Null));
+        assert_eq!(doc.path("inf.count").and_then(Doc::as_i64), Some(1));
     }
 }

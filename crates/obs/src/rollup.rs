@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::metrics::Histogram;
-use crate::{format_f64, json_string};
+use crate::format_f64;
 
 /// Default number of completed ticks a ring retains.
 pub const DEFAULT_WINDOW: usize = 64;
@@ -308,39 +308,6 @@ impl RollupSnapshot {
         }
         out
     }
-
-    /// JSON object dump:
-    /// `{"window":…,"ticks":…,"series":{"name":{…},…}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"window\":{},\"ticks\":{},\"series\":{{", self.window, self.ticks);
-        for (i, (name, series)) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string(name));
-            out.push(':');
-            match series {
-                RollupSeries::Delta { last, window_total, ticks_covered, per_tick, peak } => {
-                    out.push_str(&format!(
-                        "{{\"kind\":\"delta\",\"last\":{last},\"window_total\":{window_total},\"ticks\":{ticks_covered},\"per_tick\":{},\"peak\":{peak}}}",
-                        format_f64(*per_tick)
-                    ));
-                }
-                RollupSeries::Observe { last_count, ticks_covered, window } => {
-                    out.push_str(&format!(
-                        "{{\"kind\":\"observe\",\"last_count\":{last_count},\"ticks\":{ticks_covered},\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                        window.count(),
-                        format_f64(window.sum()),
-                        format_f64(window.quantile(0.5)),
-                        format_f64(window.quantile(0.9)),
-                        format_f64(window.quantile(0.99)),
-                    ));
-                }
-            }
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -457,10 +424,6 @@ mod tests {
         assert!(text.contains("sintel_serve_events_per_tick_window_per_tick 3.0"));
         assert!(text.contains("sintel_serve_pass_window_seconds_window_count 1"));
         assert!(text.contains("sintel_serve_pass_window_seconds_window_p99"));
-        let json = snap.to_json();
-        assert!(json.starts_with("{\"window\":"));
-        assert!(json.contains("\"kind\":\"delta\""));
-        assert!(json.contains("\"kind\":\"observe\""));
     }
 
     #[test]

@@ -21,7 +21,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::{fields_to_json, json_string, FieldValue};
+use sintel_common::json::{self, Doc};
+
+use crate::FieldValue;
 
 /// Process-wide monotonic anchor: all trace timestamps are nanoseconds
 /// since the first span (or trace start) of the process.
@@ -186,35 +188,34 @@ pub struct TraceEvent {
     pub ts_ns: u64,
     /// Span duration (close events only).
     pub duration_ns: Option<u64>,
-    /// Structured fields (open events only).
+    /// Structured fields (open events only), sorted by key with each
+    /// key once — the order and uniqueness of a JSON object, so an
+    /// event survives [`export_jsonl`] → [`parse_jsonl`] unchanged.
     pub fields: Vec<(String, FieldValue)>,
 }
 
 impl TraceEvent {
-    /// Render as one JSON object (one line of the JSONL trace).
+    /// Render as one JSON object (one line of the JSONL trace), keys
+    /// sorted. `duration_ns` and `fields` are omitted when empty.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"event\":");
-        out.push_str(match self.kind {
-            EventKind::Open => "\"open\"",
-            EventKind::Close => "\"close\"",
-        });
-        out.push_str(&format!(",\"id\":{}", self.id));
-        match self.parent {
-            Some(p) => out.push_str(&format!(",\"parent\":{p}")),
-            None => out.push_str(",\"parent\":null"),
-        }
-        out.push_str(",\"name\":");
-        out.push_str(&json_string(&self.name));
-        out.push_str(&format!(",\"ts_ns\":{}", self.ts_ns));
+        let kind = match self.kind {
+            EventKind::Open => "open",
+            EventKind::Close => "close",
+        };
+        let mut doc = Doc::obj()
+            .with("event", kind)
+            .with("id", self.id)
+            .with("parent", self.parent.map_or(Doc::Null, Doc::from))
+            .with("name", self.name.as_str())
+            .with("ts_ns", self.ts_ns);
         if let Some(d) = self.duration_ns {
-            out.push_str(&format!(",\"duration_ns\":{d}"));
+            doc.set("duration_ns", d);
         }
         if !self.fields.is_empty() {
-            out.push_str(",\"fields\":");
-            out.push_str(&fields_to_json(&self.fields));
+            let fields = self.fields.iter().map(|(k, v)| (k.clone(), Doc::from(v))).collect();
+            doc.set("fields", Doc::Obj(fields));
         }
-        out.push('}');
-        out
+        json::to_json(&doc)
     }
 }
 
@@ -291,6 +292,10 @@ fn open_span(
         parent
     });
     if tracing_active() {
+        let mut fields: Vec<_> =
+            fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        fields.sort_by(|a, b| a.0.cmp(&b.0));
+        fields.dedup_by(|later, earlier| later.0 == earlier.0);
         push_event(TraceEvent {
             kind: EventKind::Open,
             id,
@@ -298,10 +303,7 @@ fn open_span(
             name: name.to_string(),
             ts_ns: start_ns,
             duration_ns: None,
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
+            fields,
         });
     }
     SpanGuard { id, parent, name: name.to_string(), start, start_ns, closed: false }
@@ -356,243 +358,69 @@ impl Drop for SpanGuard {
 
 // ---- JSONL parsing (for replay and round-trip tests) -----------------
 
-/// Deepest object nesting [`parse_jsonl`] accepts in one line. The
-/// parser recurses once per level, so unbounded nesting would overflow
-/// the stack; trace events nest two levels.
-const MAX_DEPTH: usize = 128;
-
 /// Parse a JSON-lines trace produced by [`export_jsonl`]. Blank lines
-/// are skipped; any malformed line, including one nesting objects more
-/// than `MAX_DEPTH` (128) levels deep, is an error naming its line
-/// number.
+/// are skipped. Each line goes through [`sintel_common::json`]; any
+/// malformed line — bad JSON (including objects nested more than
+/// [`json::MAX_DEPTH`] levels deep), trailing characters, or an event
+/// whose `id`, `parent`, `ts_ns` or `duration_ns` is not a
+/// non-negative integer — is an error naming its line number.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        events.push(
-            parse_event(line).map_err(|e| format!("line {}: {e}", lineno + 1))?,
-        );
+        events.push(parse_event(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
     }
     Ok(events)
 }
 
-/// Minimal JSON value for the trace-event grammar.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Float(f64),
-    Str(String),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Self { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(c) if c == b => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!("expected '{}', found {other:?}", b as char)),
-        }
-    }
-
-    /// Parse one value inside `depth` enclosing objects.
-    fn parse_value(&mut self, depth: usize) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'{') if depth == MAX_DEPTH => Err("nesting too deep".to_string()),
-            Some(b'{') => self.parse_object(depth + 1),
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b'n') => self.parse_keyword("null", JsonValue::Null),
-            Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            other => Err(format!("unexpected {other:?}")),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("expected '{word}'"))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        let start = self.pos;
-        let mut is_float = false;
-        while let Some(&c) = self.bytes.get(self.pos) {
-            match c {
-                b'-' | b'+' => self.pos += 1,
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?;
-        if is_float {
-            text.parse::<f64>().map(JsonValue::Float).map_err(|e| e.to_string())
-        } else {
-            text.parse::<i64>().map(JsonValue::Int).map_err(|e| e.to_string())
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&c) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".to_string());
-            };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("dangling escape".to_string());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                // Multi-byte UTF-8: copy raw continuation bytes through.
-                c => {
-                    let width = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (self.pos - 1 + width).min(self.bytes.len());
-                    let chunk = std::str::from_utf8(&self.bytes[self.pos - 1..end])
-                        .map_err(|e| e.to_string())?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_object(&mut self, depth: usize) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(entries));
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value(depth)?;
-            entries.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(entries));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
+/// A non-negative integer field of an event line.
+fn uint(value: Option<&Doc>, what: &str) -> Result<u64, String> {
+    match value {
+        Some(Doc::I64(n)) if *n >= 0 => Ok(*n as u64),
+        other => Err(format!("bad {what}: {other:?}")),
     }
 }
 
 fn parse_event(line: &str) -> Result<TraceEvent, String> {
-    let mut parser = Parser::new(line);
-    let JsonValue::Obj(entries) = parser.parse_value(0)? else {
+    let doc = json::from_json(line).map_err(|e| e.message)?;
+    if !matches!(doc, Doc::Obj(_)) {
         return Err("trace line is not a JSON object".to_string());
+    }
+    let kind = match doc.get("event").and_then(Doc::as_str) {
+        Some("open") => EventKind::Open,
+        Some("close") => EventKind::Close,
+        _ => return Err(format!("bad event kind {:?}", doc.get("event"))),
     };
-    let get = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let kind = match get("event") {
-        Some(JsonValue::Str(s)) if s == "open" => EventKind::Open,
-        Some(JsonValue::Str(s)) if s == "close" => EventKind::Close,
-        other => return Err(format!("bad event kind {other:?}")),
+    let id = uint(doc.get("id"), "id")?;
+    let parent = match doc.get("parent") {
+        Some(Doc::Null) | None => None,
+        some => Some(uint(some, "parent")?),
     };
-    let int = |v: Option<&JsonValue>, what: &str| -> Result<i64, String> {
-        match v {
-            Some(JsonValue::Int(n)) => Ok(*n),
-            other => Err(format!("bad {what}: {other:?}")),
-        }
-    };
-    let id = int(get("id"), "id")? as u64;
-    let parent = match get("parent") {
-        Some(JsonValue::Null) | None => None,
-        Some(JsonValue::Int(n)) => Some(*n as u64),
-        other => return Err(format!("bad parent: {other:?}")),
-    };
-    let name = match get("name") {
-        Some(JsonValue::Str(s)) => s.clone(),
+    let name = match doc.get("name") {
+        Some(Doc::Str(s)) => s.clone(),
         other => return Err(format!("bad name: {other:?}")),
     };
-    let ts_ns = int(get("ts_ns"), "ts_ns")? as u64;
-    let duration_ns = match get("duration_ns") {
+    let ts_ns = uint(doc.get("ts_ns"), "ts_ns")?;
+    let duration_ns = match doc.get("duration_ns") {
         None => None,
-        Some(JsonValue::Int(n)) => Some(*n as u64),
-        other => return Err(format!("bad duration_ns: {other:?}")),
+        some => Some(uint(some, "duration_ns")?),
     };
-    let fields = match get("fields") {
+    let fields = match doc.get("fields") {
         None => Vec::new(),
-        Some(JsonValue::Obj(entries)) => entries
+        Some(Doc::Obj(entries)) => entries
             .iter()
             .map(|(k, v)| {
                 let fv = match v {
-                    JsonValue::Str(s) => FieldValue::Str(s.clone()),
-                    JsonValue::Int(n) if *n >= 0 => FieldValue::UInt(*n as u64),
-                    JsonValue::Int(n) => FieldValue::Int(*n),
-                    JsonValue::Float(f) => FieldValue::Float(*f),
-                    JsonValue::Bool(b) => FieldValue::Bool(*b),
-                    JsonValue::Null => FieldValue::Float(f64::NAN),
-                    JsonValue::Obj(_) => {
-                        return Err("nested field objects are not supported".to_string())
+                    Doc::Str(s) => FieldValue::Str(s.clone()),
+                    Doc::I64(n) if *n >= 0 => FieldValue::UInt(*n as u64),
+                    Doc::I64(n) => FieldValue::Int(*n),
+                    Doc::F64(f) => FieldValue::Float(*f),
+                    Doc::Bool(b) => FieldValue::Bool(*b),
+                    Doc::Null => FieldValue::Float(f64::NAN),
+                    Doc::Arr(_) | Doc::Obj(_) => {
+                        return Err(format!("field {k:?} is not a scalar"))
                     }
                 };
                 Ok((k.clone(), fv))
@@ -606,6 +434,10 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sintel_common::check::{self, gens, shrinks};
+    use sintel_common::json::MAX_DEPTH;
+    use sintel_common::SintelRng;
+    use std::collections::BTreeMap;
     use std::sync::Mutex;
 
     /// The trace buffer is global; serialize the tests that use it.
@@ -705,6 +537,130 @@ mod tests {
         // Deep enough to overflow the stack without the bound.
         let err = parse_jsonl(&"{\"a\":".repeat(1_000_000)).unwrap_err();
         assert_eq!(err, "line 1: nesting too deep");
+    }
+
+    #[test]
+    fn parse_rejects_ids_that_are_not_non_negative_integers() {
+        let line = |key: &str, value: &str| {
+            let mut fields = BTreeMap::from([
+                ("event", "\"close\""),
+                ("id", "1"),
+                ("parent", "null"),
+                ("name", "\"s\""),
+                ("ts_ns", "5"),
+                ("duration_ns", "2"),
+            ]);
+            fields.insert(key, value);
+            let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            format!("{{{}}}", body.join(","))
+        };
+        assert!(parse_jsonl(&line("id", "1")).is_ok());
+        for key in ["id", "parent", "ts_ns", "duration_ns"] {
+            for bad in ["-1", "1.5", "1e30", "\"1\"", "true"] {
+                let err = parse_jsonl(&format!("\n{}", line(key, bad))).unwrap_err();
+                assert!(err.starts_with(&format!("line 2: bad {key}")), "{key}={bad}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn parse_rejects_trailing_characters() {
+        let event = TraceEvent {
+            kind: EventKind::Open,
+            id: 3,
+            parent: Some(1),
+            name: "s".to_string(),
+            ts_ns: 7,
+            duration_ns: None,
+            fields: Vec::new(),
+        };
+        let line = event.to_json();
+        assert_eq!(parse_jsonl(&line).unwrap(), vec![event]);
+        for tail in ["x", "}", ",{}", " {\"event\":\"open\"}"] {
+            let err = parse_jsonl(&format!("{line}{tail}")).unwrap_err();
+            assert_eq!(err, "line 1: trailing characters", "{tail:?}");
+        }
+    }
+
+    /// Field floats a lossy writer gets wrong: integral values at and
+    /// beyond 1e15, tiny exponents, signed zero, the extremes.
+    const EDGE_FLOATS: &[f64] =
+        &[1e15, 1e16, 1e20, 1e-7, -0.0, 0.0, 3.0, -2.5e300, f64::MAX, 5e-324];
+
+    /// An integer in `0..=i64::MAX`, the range JSON carries exactly.
+    fn random_uint(rng: &mut SintelRng) -> u64 {
+        let any = rng.next_u64() >> 1;
+        *rng.choice(&[0, i64::MAX as u64, any])
+    }
+
+    fn random_field(rng: &mut SintelRng) -> FieldValue {
+        match rng.index(5) {
+            0 => FieldValue::Str(gens::escape_heavy_string(rng)),
+            1 => FieldValue::UInt(random_uint(rng)),
+            2 => {
+                let any = rng.next_u64() as i64;
+                FieldValue::Int(*rng.choice(&[i64::MIN, -1, 0, any]))
+            }
+            3 if rng.chance(0.5) => FieldValue::Float(*rng.choice(EDGE_FLOATS)),
+            3 => FieldValue::Float(rng.normal(0.0, 1e18)),
+            _ => FieldValue::Bool(rng.chance(0.5)),
+        }
+    }
+
+    /// A random event; its fields are sorted by key with each key once,
+    /// as [`TraceEvent::fields`] documents.
+    fn random_event(rng: &mut SintelRng) -> TraceEvent {
+        let kind = if rng.chance(0.5) { EventKind::Open } else { EventKind::Close };
+        let fields: BTreeMap<String, FieldValue> = (0..rng.index(5))
+            .map(|_| (gens::escape_heavy_string(rng), random_field(rng)))
+            .collect();
+        TraceEvent {
+            kind,
+            id: random_uint(rng),
+            parent: rng.chance(0.5).then(|| random_uint(rng)),
+            name: gens::escape_heavy_string(rng),
+            ts_ns: random_uint(rng),
+            duration_ns: rng.chance(0.5).then(|| random_uint(rng)),
+            fields: fields.into_iter().collect(),
+        }
+    }
+
+    /// Field equality up to JSON's single integer type (a non-negative
+    /// `Int(n)` reads back as `UInt(n)`); floats compare by bits.
+    fn same_field(a: &FieldValue, b: &FieldValue) -> bool {
+        match (a, b) {
+            (FieldValue::Float(x), FieldValue::Float(y)) => x.to_bits() == y.to_bits(),
+            (FieldValue::Int(n), FieldValue::UInt(m)) => *n >= 0 && *n as u64 == *m,
+            _ => a == b,
+        }
+    }
+
+    fn same_event(a: &TraceEvent, b: &TraceEvent) -> bool {
+        let bare = |e: &TraceEvent| TraceEvent { fields: Vec::new(), ..e.clone() };
+        bare(a) == bare(b)
+            && a.fields.len() == b.fields.len()
+            && a.fields.iter().zip(&b.fields).all(|((ka, va), (kb, vb))| {
+                ka == kb && same_field(va, vb)
+            })
+    }
+
+    #[test]
+    fn prop_jsonl_round_trip_is_lossless() {
+        check::forall(
+            "parse_jsonl(export_jsonl(events)) == events",
+            &check::Config::default().cases(256),
+            |rng| (0..1 + rng.index(4)).map(|_| random_event(rng)).collect::<Vec<_>>(),
+            |events| shrinks::truncate_vec(events),
+            |events| {
+                let text = export_jsonl(events);
+                let back = parse_jsonl(&text).map_err(|e| format!("{e}\n{text}"))?;
+                let same = events.iter().zip(&back).all(|(a, b)| same_event(a, b));
+                if back.len() != events.len() || !same {
+                    return Err(format!("round trip changed the events into {back:?}\n{text}"));
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -293,11 +293,7 @@ fn handle_connection(stream: TcpStream, status: &SharedStatus) -> std::io::Resul
                 })
                 .unwrap_or(DEFAULT_TRACE_TAIL)
                 .min(MAX_TRACE_TAIL);
-            let mut body = String::new();
-            for event in sintel_obs::trace_tail(n) {
-                body.push_str(&event.to_json());
-                body.push('\n');
-            }
+            let body = sintel_obs::export_jsonl(&sintel_obs::trace_tail(n));
             respond(&mut stream, 200, "OK", "application/x-ndjson", &body)
         }
         _ => respond(&mut stream, 404, "Not Found", "text/plain", "not found\n"),

@@ -158,7 +158,7 @@ impl TickWideEvent {
 
     /// One JSON line (for `--tick-log` tailing).
     pub fn to_json_line(&self) -> String {
-        sintel_store::json::to_json(&self.to_doc())
+        sintel_common::json::to_json(&self.to_doc())
     }
 }
 
@@ -301,13 +301,13 @@ impl StatusSnapshot {
             .with("quarantined", quarantined)
             .with("degraded", degraded)
             .with("breakers_not_closed", open);
-        sintel_store::json::to_json(&doc)
+        sintel_common::json::to_json(&doc)
     }
 
     /// The `/tenants` JSON body (array, tenant-name order).
     pub fn tenants_json(&self) -> String {
         let docs: Vec<Doc> = self.tenants.iter().map(TenantSlo::to_doc).collect();
-        sintel_store::json::to_json(&Doc::Arr(docs))
+        sintel_common::json::to_json(&Doc::Arr(docs))
     }
 }
 

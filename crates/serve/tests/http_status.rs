@@ -101,7 +101,7 @@ fn all_routes_answer_with_well_formed_payloads() {
     // /healthz: JSON readiness with the tick counter.
     let (code, health) = get(addr, "/healthz");
     assert_eq!(code, 200);
-    let doc = sintel_store::json::from_json(&health).expect("healthz is valid JSON");
+    let doc = sintel_common::json::from_json(&health).expect("healthz is valid JSON");
     assert_eq!(doc.get("status").and_then(|d| d.as_str()), Some("ok"));
     assert_eq!(doc.get("ticks").and_then(|d| d.as_i64()), Some(6));
 
@@ -109,7 +109,7 @@ fn all_routes_answer_with_well_formed_payloads() {
     // (the `_self` monitor must NOT appear).
     let (code, tenants) = get(addr, "/tenants");
     assert_eq!(code, 200);
-    let doc = sintel_store::json::from_json(&tenants).expect("tenants is valid JSON");
+    let doc = sintel_common::json::from_json(&tenants).expect("tenants is valid JSON");
     let arr = doc.as_arr().expect("tenants is an array");
     let names: Vec<&str> =
         arr.iter().filter_map(|t| t.get("tenant").and_then(|d| d.as_str())).collect();

@@ -108,8 +108,8 @@ fn store_files(dir: &PathBuf) -> Vec<(String, String)> {
             let scrubbed: String = raw
                 .lines()
                 .map(|line| {
-                    let doc = sintel_store::json::from_json(line).expect("store line parses");
-                    sintel_store::json::to_json(&scrub_doc(doc)) + "\n"
+                    let doc = sintel_common::json::from_json(line).expect("store line parses");
+                    sintel_common::json::to_json(&scrub_doc(doc)) + "\n"
                 })
                 .collect();
             (name, scrubbed)

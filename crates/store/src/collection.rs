@@ -2,8 +2,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::doc::Doc;
-use crate::json::to_json;
+use sintel_common::json::{to_json, Doc};
+
 use crate::query::Filter;
 use crate::{Result, StoreError};
 

@@ -36,9 +36,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Instant;
 
+use sintel_common::json::{from_json, to_json, Doc};
+
 use crate::collection::Collection;
-use crate::doc::Doc;
-use crate::json::{from_json, to_json};
 use crate::query::Filter;
 use crate::wal::{crash_point, encode_batch, fsync_dir, Wal, WalOp};
 use crate::{Result, StoreError};

@@ -8,8 +8,9 @@
 //!
 //! Layers, bottom-up:
 //!
-//! * [`doc::Doc`] — a JSON-like document value with an in-repo JSON
-//!   serializer/parser ([`json`]);
+//! * [`Doc`] — the JSON-like document value, with its writer and
+//!   parser, from the workspace's one JSON codec
+//!   ([`sintel_common::json`]);
 //! * [`query::Filter`] — MongoDB-flavoured filters (eq/ne/gt/lt/in/
 //!   exists/and/or) evaluated against documents;
 //! * [`collection::Collection`] — id-keyed document storage (ids are
@@ -36,8 +37,6 @@
 
 pub mod collection;
 pub mod db;
-pub mod doc;
-pub mod json;
 pub mod query;
 pub mod schema;
 pub mod wal;
@@ -46,9 +45,9 @@ pub use collection::Collection;
 pub use db::{
     shard_of, BatchScope, Database, Durability, RecoveryReport, StoreOptions, NUM_SHARDS,
 };
-pub use doc::Doc;
 pub use query::Filter;
 pub use schema::SintelDb;
+pub use sintel_common::json::Doc;
 
 /// Errors produced by the document store.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,6 +113,12 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+impl From<sintel_common::json::ParseError> for StoreError {
+    fn from(e: sintel_common::json::ParseError) -> Self {
+        StoreError::Parse { offset: e.offset, message: e.message }
+    }
+}
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, StoreError>;

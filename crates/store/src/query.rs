@@ -1,6 +1,6 @@
 //! MongoDB-flavoured document filters.
 
-use crate::doc::Doc;
+use crate::Doc;
 
 /// A filter expression evaluated against a document. Field names accept
 /// dotted paths (`"pipeline.name"`).

@@ -19,9 +19,8 @@
 use std::path::Path;
 
 use crate::db::{BatchScope, Database, RecoveryReport, StoreOptions};
-use crate::doc::Doc;
 use crate::query::Filter;
-use crate::Result;
+use crate::{Doc, Result};
 
 /// Typed facade over the Sintel schema.
 pub struct SintelDb {

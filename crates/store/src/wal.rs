@@ -9,8 +9,8 @@
 //! ```
 //!
 //! The payload is a JSON array of operations ([`WalOp`]), serialised
-//! with the in-repo [`crate::json`] writer; `crc` is the IEEE CRC-32 of
-//! the payload bytes. Records are appended with `sync_data` on the log
+//! with the shared [`sintel_common::json`] writer; `crc` is the IEEE
+//! CRC-32 of the payload bytes. Records are appended with `sync_data` on the log
 //! file (when the database runs at [`crate::Durability::WalSync`]) and
 //! the log's directory is fsynced when the file is created or reset, so
 //! a committed batch survives power loss.
@@ -34,8 +34,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::doc::Doc;
-use crate::json::{from_json, to_json};
+use sintel_common::json::{from_json, to_json, Doc};
+
 use crate::{Result, StoreError};
 
 /// File name of the log inside a database directory.

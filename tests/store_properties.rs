@@ -3,8 +3,8 @@
 //! arbitrary documents — the invariants everything else (events,
 //! annotations, benchmark results) silently relies on.
 
-use sintel_repro::sintel_common::SintelRng;
-use sintel_repro::sintel_store::{json, Collection, Doc, Filter};
+use sintel_repro::sintel_common::{json, SintelRng};
+use sintel_repro::sintel_store::{Collection, Doc, Filter};
 
 fn random_key(rng: &mut SintelRng, min: usize, max: usize) -> String {
     let len = min + rng.index(max - min + 1);
