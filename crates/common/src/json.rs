@@ -152,36 +152,69 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Doc) -> Result
     }
 }
 
+/// Parse a number in one pass over the RFC 8259 grammar
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. A leading
+/// `+`, a leading zero, a bare `.` or exponent, and a value that
+/// overflows `f64` are errors. Integers that do not fit `i64` fall back
+/// to `f64` (matching JS semantics).
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Doc> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
+    match bytes.get(*pos) {
+        Some(b'0') => {
+            *pos += 1;
+            if bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+                return Err(err(*pos, "invalid number: leading zero"));
             }
-            _ => break,
         }
+        Some(b'1'..=b'9') => skip_digits(bytes, pos),
+        _ => return Err(err(*pos, "invalid number: expected a digit")),
     }
+    let mut is_float = false;
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        is_float = true;
+        expect_digits(bytes, pos, "invalid number: expected a digit after '.'")?;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        is_float = true;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        expect_digits(bytes, pos, "invalid number: expected an exponent digit")?;
+    }
+    // The grammar above admits only ASCII.
     let text = std::str::from_utf8(&bytes[start..*pos])
         .map_err(|_| err(start, "invalid utf-8 in number"))?;
-    if text.is_empty() || text == "-" {
-        return Err(err(start, "invalid number"));
+    if !is_float {
+        if let Ok(v) = text.parse::<i64>() {
+            return Ok(Doc::I64(v));
+        }
     }
-    if is_float {
-        text.parse::<f64>().map(Doc::F64).map_err(|_| err(start, "invalid float"))
-    } else {
-        // Large integers fall back to f64 (matching JS semantics).
-        text.parse::<i64>()
-            .map(Doc::I64)
-            .or_else(|_| text.parse::<f64>().map(Doc::F64))
-            .map_err(|_| err(start, "invalid integer"))
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(Doc::F64(v)),
+        Ok(_) => Err(err(start, "number out of range")),
+        Err(_) => Err(err(start, "invalid number")),
     }
+}
+
+fn skip_digits(bytes: &[u8], pos: &mut usize) {
+    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+        *pos += 1;
+    }
+}
+
+/// Skip one or more digits, or fail with `message`.
+fn expect_digits(bytes: &[u8], pos: &mut usize, message: &str) -> Result<()> {
+    let from = *pos;
+    skip_digits(bytes, pos);
+    if *pos == from {
+        return Err(err(from, message));
+    }
+    Ok(())
 }
 
 /// Parse a string literal in time linear in its length: each run of
@@ -364,6 +397,60 @@ mod tests {
             let e = from_json(bad).unwrap_err();
             assert!(matches!(e, ParseError { .. }), "{bad}: {e:?}");
         }
+    }
+
+    #[test]
+    fn non_rfc_numbers_are_parse_errors() {
+        for bad in [
+            "+1", ".5", "01", "-01", "1.", "-.5", "-", "1e", "1e+", "1.e5", "1e400", "-1e400",
+            "1E309", "[1e400]", "00", "0x10",
+        ] {
+            assert!(matches!(from_json(bad), Err(ParseError { .. })), "{bad}");
+        }
+        for (good, want) in [
+            ("0", Doc::I64(0)),
+            ("-0", Doc::I64(0)),
+            ("-0.0", Doc::F64(-0.0)),
+            ("10", Doc::I64(10)),
+            ("1.5e3", Doc::F64(1500.0)),
+            ("2E-2", Doc::F64(0.02)),
+            ("1e+2", Doc::F64(100.0)),
+            ("1e-400", Doc::F64(0.0)),
+            ("9223372036854775808", Doc::F64(9223372036854775808.0)),
+        ] {
+            assert_eq!(from_json(good).unwrap(), want, "{good}");
+        }
+    }
+
+    /// Every number the writer emits (`{v:?}` for finite `f64`, `{v}`
+    /// for `i64`) parses back to the same bits.
+    #[test]
+    fn prop_written_numbers_roundtrip_bitwise() {
+        check::forall(
+            "from_json(to_json(number)) is bitwise identity",
+            &check::Config::default().cases(2048),
+            |rng| {
+                let bits = rng.next_u64();
+                let f = match rng.index(4) {
+                    // Any finite bit pattern: subnormals, extremes, -0.0.
+                    0 | 1 => f64::from_bits(bits),
+                    2 => rng.uniform_range(-1e6, 1e6),
+                    _ => (bits >> 40) as f64 * if rng.chance(0.5) { 1e-7 } else { 1e15 },
+                };
+                (if f.is_finite() { f } else { -0.0 }, bits as i64)
+            },
+            check::shrinks::none,
+            |&(f, i)| {
+                match from_json(&to_json(&Doc::F64(f))) {
+                    Ok(Doc::F64(g)) if g.to_bits() == f.to_bits() => {}
+                    other => return Err(format!("{f:?} came back as {other:?}")),
+                }
+                match from_json(&to_json(&Doc::I64(i))) {
+                    Ok(Doc::I64(j)) if j == i => Ok(()),
+                    other => Err(format!("{i} came back as {other:?}")),
+                }
+            },
+        );
     }
 
     #[test]

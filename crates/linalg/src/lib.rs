@@ -16,16 +16,18 @@
 //! subset the Rust port actually needs: a row-major [`Matrix`] with the
 //! usual arithmetic, matrix–vector and matrix–matrix products, Gaussian
 //! elimination with partial pivoting ([`Matrix::solve`]) for ARIMA least
-//! squares, and a Cholesky factorisation ([`cholesky`] / [`solve_spd`])
+//! squares (rows streamed through [`NormalEquations`]), and a Cholesky factorisation ([`cholesky`] / [`solve_spd`])
 //! for the Gaussian-process hyperparameter tuner.
 //!
 //! The implementation favours clarity and testability over SIMD tricks —
 //! every routine is exercised by unit and property tests.
 
 pub mod matrix;
+pub mod normal;
 pub mod solve;
 
 pub use matrix::Matrix;
+pub use normal::NormalEquations;
 pub use solve::{cholesky, solve_lower, solve_spd, solve_upper};
 
 /// Errors produced by linear-algebra routines.

@@ -1,7 +1,7 @@
 //! Linear solvers: Gaussian elimination with partial pivoting and
 //! Cholesky factorisation for symmetric positive-definite systems.
 
-use crate::{LinalgError, Matrix, Result};
+use crate::{LinalgError, Matrix, NormalEquations, Result};
 
 impl Matrix {
     /// Solve `self * x = b` for a square system using Gaussian elimination
@@ -69,7 +69,8 @@ impl Matrix {
     /// Least-squares solve of the overdetermined system `self * x ≈ b`
     /// via the normal equations `(AᵀA + ridge·I) x = Aᵀ b`. The small ridge
     /// keeps near-collinear designs (common in AR regressions on smooth
-    /// signals) numerically solvable.
+    /// signals) numerically solvable. The rows stream through
+    /// [`NormalEquations`], so no transpose or product is materialized.
     pub fn least_squares(&self, b: &[f64], ridge: f64) -> Result<Vec<f64>> {
         if self.rows() != b.len() {
             return Err(LinalgError::DimensionMismatch {
@@ -77,13 +78,11 @@ impl Matrix {
                 got: format!("length {}", b.len()),
             });
         }
-        let at = self.transpose();
-        let mut ata = at.matmul(self)?;
-        for i in 0..ata.rows() {
-            ata[(i, i)] += ridge;
+        let mut normal = NormalEquations::new(self.cols());
+        for (row, &target) in self.row_iter().zip(b) {
+            normal.push_row(row, target);
         }
-        let atb = at.matvec(b)?;
-        ata.solve(&atb)
+        normal.solve(ridge)
     }
 }
 

@@ -4,7 +4,7 @@
 
 use sintel_common::check::{forall, shrinks, Config};
 use sintel_common::SintelRng;
-use sintel_linalg::{cholesky, solve_spd, Matrix};
+use sintel_linalg::{cholesky, solve_spd, LinalgError, Matrix, NormalEquations};
 
 /// Random matrix with entries in `[-2, 2]`.
 fn random_matrix(rng: &mut SintelRng, rows: usize, cols: usize) -> Matrix {
@@ -351,6 +351,116 @@ fn transpose_is_an_involution() {
                 }
             }
             Ok(())
+        },
+    );
+}
+
+/// The normal-equations system `least_squares` solved before it
+/// streamed its rows: materialize `Aᵀ`, then `AᵀA` by `matmul` plus the
+/// ridge, and `Aᵀb` by `matvec`. The oracle for `NormalEquations`
+/// (DESIGN.md §4j).
+fn normal_system_reference(a: &Matrix, b: &[f64], ridge: f64) -> Result<(Matrix, Vec<f64>), LinalgError> {
+    let at = a.transpose();
+    let mut ata = at.matmul(a)?;
+    for i in 0..ata.rows() {
+        ata[(i, i)] += ridge;
+    }
+    let atb = at.matvec(b)?;
+    Ok((ata, atb))
+}
+
+/// `least_squares` by the materialized reference system.
+fn least_squares_reference(a: &Matrix, b: &[f64], ridge: f64) -> Result<Vec<f64>, LinalgError> {
+    let (ata, atb) = normal_system_reference(a, b, ridge)?;
+    ata.solve(&atb)
+}
+
+/// One entry of a random design: mostly uniform, with exact zeros and
+/// `-0.0` always possible and `±inf`/NaN when `special` is non-zero.
+fn design_entry(rng: &mut SintelRng, special: f64) -> f64 {
+    if rng.chance(special) {
+        return *rng.choice(&[f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+    }
+    match rng.index(8) {
+        0 => 0.0,
+        1 => -0.0,
+        _ => rng.uniform_range(-3.0, 3.0),
+    }
+}
+
+/// Bitwise equality, with every NaN equal to every other: Rust leaves
+/// the sign and payload of a computed NaN unspecified, so only NaN-ness
+/// is reproducible.
+fn bits_equal(want: &[f64], got: &[f64]) -> Result<(), String> {
+    if want.len() != got.len() {
+        return Err(format!("length {} vs {}", want.len(), got.len()));
+    }
+    for (i, (w, g)) in want.iter().zip(got).enumerate() {
+        if w.to_bits() != g.to_bits() && !(w.is_nan() && g.is_nan()) {
+            return Err(format!("entry {i}: reference {w:?} vs streamed {g:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// The streamed normal equations solve to exactly the bits of the
+/// materialized transpose·matmul·matvec·solve oracle, and fail with the
+/// same error variant. Designs span one row to several kernel blocks,
+/// up to 13 columns, with exact zeros and `-0.0` everywhere and, in
+/// half the cases, `±inf`/NaN in the regressors or the targets (which
+/// switch the accumulator to its full-square path mid-block).
+#[test]
+fn streamed_normal_equations_match_materialized_oracle_bitwise() {
+    forall(
+        "NormalEquations == transpose·matmul·matvec·solve, bitwise",
+        &Config::default().cases(512),
+        |rng| {
+            let rows = match rng.index(4) {
+                0 => 1,
+                1 => rng.int_range(1, 8) as usize,
+                _ => rng.int_range(1, 3 * NormalEquations::BLOCK_ROWS as i64 + 5) as usize,
+            };
+            let cols = rng.int_range(1, 14) as usize;
+            let special = if rng.chance(0.5) { 0.0 } else { rng.uniform_range(0.0, 0.05) };
+            // Sometimes a whole zero column, so the ridge-free solve is singular.
+            let zero_col = rng.chance(0.1).then(|| rng.index(cols));
+            let data: Vec<f64> = (0..rows * cols)
+                .map(|k| {
+                    if zero_col == Some(k % cols) {
+                        0.0
+                    } else {
+                        design_entry(rng, special)
+                    }
+                })
+                .collect();
+            // Occasionally a mismatched target length.
+            let b_len = if rng.chance(0.05) { rows + 1 } else { rows };
+            let b: Vec<f64> = (0..b_len).map(|_| design_entry(rng, special)).collect();
+            let ridge = *rng.choice(&[0.0, 1e-6, 1.0]);
+            (Matrix::from_vec(rows, cols, data), b, ridge)
+        },
+        shrinks::none,
+        |(a, b, ridge)| {
+            // The accumulated system itself, entry by entry: a wrong
+            // entry must show even where the solve turns it into NaN.
+            if let Ok((ata, atb)) = normal_system_reference(a, b, *ridge) {
+                let mut normal = NormalEquations::new(a.cols());
+                for (row, &target) in a.row_iter().zip(b) {
+                    normal.push_row(row, target);
+                }
+                let (got_ata, got_atb) = normal.into_system(*ridge);
+                bits_equal(ata.as_slice(), got_ata.as_slice()).map_err(|e| format!("XᵀX: {e}"))?;
+                bits_equal(&atb, &got_atb).map_err(|e| format!("Xᵀb: {e}"))?;
+            }
+            let want = least_squares_reference(a, b, *ridge);
+            let got = a.least_squares(b, *ridge);
+            match (&want, &got) {
+                (Ok(w), Ok(g)) => bits_equal(w, g),
+                (Err(w), Err(g)) if std::mem::discriminant(w) == std::mem::discriminant(g) => {
+                    Ok(())
+                }
+                _ => Err(format!("reference {want:?} vs streamed {got:?}")),
+            }
         },
     );
 }

@@ -203,3 +203,25 @@ fn primitive_construction_shares_its_metadata() {
         assert!(events <= 3, "{name}: construction made {events} allocations");
     }
 }
+
+/// `Arima::fit` streams both Hannan–Rissanen lag regressions through
+/// `NormalEquations` from one reused row: its allocation count does not
+/// depend on the series length. Per-row design `Vec`s would make the
+/// 2048-sample fit allocate eight times as often as the 256-sample one.
+#[test]
+fn arima_fit_allocations_do_not_grow_with_series_length() {
+    let series = |n: usize| -> Vec<f64> {
+        (0..n).map(|i| (i as f64 * 0.1).sin() + 0.3 * (i as f64 * 0.37).cos()).collect()
+    };
+    let (short, long) = (series(256), series(2048));
+    for (p, d, q) in [(5, 0, 1), (3, 1, 2), (12, 2, 6)] {
+        sintel_stats::Arima::fit(&short, p, d, q).unwrap(); // warm-up
+        let (few, _) = alloc_events(|| sintel_stats::Arima::fit(&short, p, d, q).unwrap());
+        let (many, _) = alloc_events(|| sintel_stats::Arima::fit(&long, p, d, q).unwrap());
+        assert_eq!(
+            few, many,
+            "Arima::fit({p}, {d}, {q}) allocation count grew with the series length \
+             ({few} events for 256 samples vs {many} for 2048)"
+        );
+    }
+}

@@ -6,7 +6,6 @@
 use sintel_pipeline::template::{StepSpec, Template};
 use sintel_pipeline::template_by_name;
 use sintel_primitives::HyperValue;
-use sintel_serve::engine::fallback_template;
 use sintel_serve::{analyze_deployment, ServeConfig, ServeEngine, ServeError, TenantSpec};
 use sintel_store::SintelDb;
 

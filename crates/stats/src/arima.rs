@@ -10,8 +10,14 @@
 //!    innovations (ordinary least squares with a small ridge);
 //! 4. produces rolling one-step-ahead forecasts, integrating the
 //!    differences back to the original scale.
+//!
+//! Both regressions stream their lag rows straight from the series
+//! through one reused row into [`NormalEquations`]: no design matrix is
+//! built, so a fit makes the same few allocations at any length.
 
-use sintel_linalg::Matrix;
+use std::borrow::Cow;
+
+use sintel_linalg::NormalEquations;
 
 use crate::{Result, StatsError};
 
@@ -28,10 +34,11 @@ pub struct Arima {
     theta: Vec<f64>,
 }
 
-fn difference(values: &[f64], d: usize) -> Vec<f64> {
-    let mut out = values.to_vec();
+/// Difference `values` `d` times; `d = 0` borrows the input.
+fn difference(values: &[f64], d: usize) -> Cow<'_, [f64]> {
+    let mut out = Cow::Borrowed(values);
     for _ in 0..d {
-        out = out.windows(2).map(|w| w[1] - w[0]).collect();
+        out = Cow::Owned(out.windows(2).map(|w| w[1] - w[0]).collect());
     }
     out
 }
@@ -81,21 +88,17 @@ impl Arima {
         if rows < p + q + 2 {
             return Err(StatsError::InsufficientData { needed: start + p + q + 2, got: y.len() });
         }
-        let mut design = Vec::with_capacity(rows);
-        let mut target = Vec::with_capacity(rows);
-        for t in start..y.len() {
-            let mut row = Vec::with_capacity(1 + p + q);
+        let mut normal = NormalEquations::new(1 + p + q);
+        let mut row = Vec::with_capacity(1 + p + q);
+        for (t, &target) in y.iter().enumerate().skip(start) {
+            row.clear();
             row.push(1.0);
             // Lag columns newest-first, matching the prediction loops.
             row.extend(y[t - p..t].iter().rev());
             row.extend(resid[t - q..t].iter().rev());
-            design.push(row);
-            target.push(y[t]);
+            normal.push_row(&row, target);
         }
-        let design = Matrix::from_rows(&design);
-        let beta = design
-            .least_squares(&target, 1e-6)
-            .map_err(|e| StatsError::Numerical(e.to_string()))?;
+        let beta = normal.solve(1e-6).map_err(|e| StatsError::Numerical(e.to_string()))?;
         if beta.len() != 1 + p + q {
             return Err(StatsError::Numerical(format!(
                 "least squares returned {} coefficients, expected {}",
@@ -117,6 +120,13 @@ impl Arima {
     /// Model orders `(p, d, q)`.
     pub fn orders(&self) -> (usize, usize, usize) {
         (self.p, self.d, self.q)
+    }
+
+    /// Fitted `(intercept, phi, theta)`, for differential tests that
+    /// compare a fit bitwise against a reference implementation.
+    #[doc(hidden)]
+    pub fn coefficients(&self) -> (f64, &[f64], &[f64]) {
+        (self.intercept, &self.phi, &self.theta)
     }
 
     /// Rolling one-step-ahead forecast over `values`.
@@ -187,21 +197,15 @@ fn fit_ar(y: &[f64], order: usize) -> Result<Vec<f64>> {
     if y.len() < order * 2 + 2 {
         return Err(StatsError::InsufficientData { needed: order * 2 + 2, got: y.len() });
     }
-    let rows = y.len() - order;
-    let mut design = Vec::with_capacity(rows);
-    let mut target = Vec::with_capacity(rows);
-    for t in order..y.len() {
-        let mut row = Vec::with_capacity(order + 1);
+    let mut normal = NormalEquations::new(order + 1);
+    let mut row = Vec::with_capacity(order + 1);
+    for (t, &target) in y.iter().enumerate().skip(order) {
+        row.clear();
         row.push(1.0);
-        for k in 1..=order {
-            row.push(y[t - k]);
-        }
-        design.push(row);
-        target.push(y[t]);
+        row.extend(y[t - order..t].iter().rev());
+        normal.push_row(&row, target);
     }
-    Matrix::from_rows(&design)
-        .least_squares(&target, 1e-6)
-        .map_err(|e| StatsError::Numerical(e.to_string()))
+    normal.solve(1e-6).map_err(|e| StatsError::Numerical(e.to_string()))
 }
 
 impl Arima {
@@ -220,7 +224,7 @@ impl Arima {
         }
         // Differenced history and its rolling residuals.
         let mut x = history.to_vec();
-        let mut y = difference(&x, self.d);
+        let mut y = difference(&x, self.d).into_owned();
         let mut resid = vec![0.0; y.len()];
         for t in warm..y.len() {
             let mut yhat = self.intercept;

@@ -147,10 +147,13 @@ fn window_spans(errors: &[f64], params: &ThresholdParams) -> Vec<AnomalySpan> {
 
     // Sweep z, score each candidate threshold.
     let mut best: Option<(f64, f64)> = None; // (score, eps)
+    // One buffer for every candidate's below-threshold errors.
+    let mut below = Vec::with_capacity(errors.len());
     let mut z = params.z_min;
     while z <= params.z_max + 1e-9 {
         let eps = mu + z * sigma;
-        let below: Vec<f64> = errors.iter().copied().filter(|&e| e <= eps).collect();
+        below.clear();
+        below.extend(errors.iter().copied().filter(|&e| e <= eps));
         let n_above = errors.len() - below.len();
         if n_above == 0 {
             z += params.z_step;

@@ -13,7 +13,7 @@ cargo build --release
 # `cargo test -q` is the whole workspace. The gate also fails if the
 # number of passing tests drops below this floor: a suite must never
 # shrink quietly.
-TEST_FLOOR=776
+TEST_FLOOR=781
 
 # Run `cargo test -q` with the given environment, echo its output and
 # fail unless at least TEST_FLOOR tests passed.
@@ -86,11 +86,12 @@ cargo bench -q -p sintel-bench --no-run
 # pipeline executor, the framework core, the durability-critical store,
 # the long-running serving tier, the human-in-the-loop layer that writes
 # expert annotations, the observability substrate every one of them
-# calls into, sintel-common's cancel tokens and fan-out substrate, and
-# the nn training kernels every deep pipeline runs (test code is
-# exempt — clippy only lints lib/bin targets here).
-echo "==> cargo clippy (deny unwrap_used in sintel-pipeline, sintel, sintel-store, sintel-serve, sintel-hil, sintel-obs, sintel-analyze, sintel-common, sintel-nn)"
-cargo clippy -p sintel-pipeline -p sintel -p sintel-store -p sintel-serve -p sintel-hil -p sintel-obs -p sintel-analyze -p sintel-common -p sintel-nn -- -D clippy::unwrap_used
+# calls into, sintel-common's cancel tokens and fan-out substrate, the
+# nn training kernels every deep pipeline runs, and the primitives,
+# stats models and linalg kernels every serve pass runs through (test
+# code is exempt — clippy only lints lib/bin targets here).
+echo "==> cargo clippy (deny unwrap_used in sintel-pipeline, sintel, sintel-store, sintel-serve, sintel-hil, sintel-obs, sintel-analyze, sintel-common, sintel-nn, sintel-primitives, sintel-stats, sintel-linalg)"
+cargo clippy -p sintel-pipeline -p sintel -p sintel-store -p sintel-serve -p sintel-hil -p sintel-obs -p sintel-analyze -p sintel-common -p sintel-nn -p sintel-primitives -p sintel-stats -p sintel-linalg -- -D clippy::unwrap_used
 
 # Library crates must route diagnostics through sintel-obs, never print
 # directly. Lib targets only: binaries (CLI, bench tables) legitimately
