@@ -16,24 +16,8 @@
 //! - `Xᵀb[i]` sums `row[i] * b` over rows in ascending order, starting
 //!   from `-0.0` with no skip (the `Iterator::sum` in [`crate::dot`]).
 //!
-//! Two kernels keep that order:
-//!
-//! - **Finite rows** (every regressor finite) are buffered and flushed
-//!   in blocks through a register-blocked kernel that accumulates
-//!   4 × 4 entries of the upper triangle at once,
-//!   rows ascending, with no zero skip. With finite regressors a
-//!   skipped term is `±0.0`, and adding `±0.0` leaves an accumulator
-//!   that started at `+0.0` unchanged (it can never become `-0.0`), so
-//!   dropping the skip is exact. For the same reason entry `(j, i)` has
-//!   the same partial sums as `(i, j)`, so the lower triangle is a
-//!   mirror of the upper one.
-//! - **The first row with a non-finite regressor** flushes the finite
-//!   prefix, mirrors it, and switches to the plain per-row kernel with
-//!   the skip over the full square for good: there `0 · ∞` and NaN make
-//!   the skip and the two triangles matter.
-//!
-//! The target travels as one extra column, so `Xᵀb` is that column of
-//! the accumulated square (started at `-0.0`, never skipped).
+//! Each row is folded into the full square as it arrives, so the order
+//! holds for any regressor, `±inf` and NaN included.
 
 use crate::{Matrix, Result};
 
@@ -41,160 +25,49 @@ use crate::{Matrix, Result};
 /// `(XᵀX + ridge·I) x = Xᵀb`.
 #[derive(Debug, Clone)]
 pub struct NormalEquations {
-    cols: usize,
-    /// Row stride of `sums` and `pending`: `cols + 1` (the target
-    /// column) rounded up to a multiple of [`LANES`].
-    stride: usize,
-    /// Row-major `stride × stride`: row `i < cols` holds `XᵀX[i][..cols]`
-    /// and `Xᵀb[i]` at column `cols`. The rest is kernel padding. While
-    /// `full` is false only the upper triangle of `XᵀX` is current.
-    sums: Vec<f64>,
-    /// Up to [`Self::BLOCK_ROWS`] finite rows awaiting a flush, each
-    /// `[regressors, target, zero padding]`.
-    pending: Vec<f64>,
-    pending_rows: usize,
-    /// True once a row with a non-finite regressor has been seen.
-    full: bool,
+    xtx: Matrix,
+    xtb: Vec<f64>,
 }
 
-/// Edge of the square block of accumulators the finite-row kernel keeps
-/// in registers.
-const LANES: usize = 4;
-
 impl NormalEquations {
-    /// Finite rows buffered per kernel flush.
-    pub const BLOCK_ROWS: usize = 32;
-
     /// Empty accumulator for a design with `cols` columns.
     pub fn new(cols: usize) -> Self {
-        let stride = (cols + 1).div_ceil(LANES) * LANES;
-        let mut sums = vec![0.0; stride * stride];
         // `Xᵀb` starts at -0.0, the identity `Iterator::sum` folds from,
         // so a sum of only -0.0 terms stays -0.0 as in `dot`.
-        for xtb in sums.iter_mut().skip(cols).step_by(stride).take(cols) {
-            *xtb = -0.0;
-        }
-        let pending = vec![0.0; Self::BLOCK_ROWS * stride];
-        Self { cols, stride, sums, pending, pending_rows: 0, full: false }
+        Self { xtx: Matrix::zeros(cols, cols), xtb: vec![-0.0; cols] }
     }
 
     /// Add one design row and its target. Panics if `row.len()` is not
     /// the `cols` given to [`Self::new`] (a programmer error, like a
     /// ragged matrix).
     pub fn push_row(&mut self, row: &[f64], target: f64) {
-        assert_eq!(row.len(), self.cols, "push_row: row length mismatch");
-        if !self.full {
-            if row.iter().all(|v| v.is_finite()) {
-                self.buffer_row(row, target);
-                return;
-            }
-            self.flush();
-            self.mirror_upper();
-            self.full = true;
-        }
-        self.accumulate_full(row, target);
-    }
-
-    /// Append a finite row to `pending`, flushing a full block.
-    // `pending_rows < BLOCK_ROWS` between calls and
-    // `pending.len() == BLOCK_ROWS * stride` with `cols < stride`.
-    #[allow(clippy::indexing_slicing)]
-    fn buffer_row(&mut self, row: &[f64], target: f64) {
-        let at = self.pending_rows * self.stride;
-        self.pending[at..at + self.cols].copy_from_slice(row);
-        self.pending[at + self.cols] = target;
-        self.pending_rows += 1;
-        if self.pending_rows == Self::BLOCK_ROWS {
-            self.flush();
-        }
-    }
-
-    /// Fold the pending finite rows into `sums` with the register-blocked
-    /// kernel: for each `LANES × LANES` block on or above the diagonal,
-    /// the accumulators are loaded once, carried through the pending
-    /// rows in ascending order, and stored back.
-    // Every block index is in range: `ib < cols`, `jb < stride`, both
-    // multiples of LANES, and `stride` is a multiple of LANES.
-    #[allow(clippy::indexing_slicing)]
-    fn flush(&mut self) {
-        let s = self.stride;
-        let rows = &self.pending[..self.pending_rows * s];
-        for ib in (0..self.cols).step_by(LANES) {
-            for jb in (ib..s).step_by(LANES) {
-                let mut acc = [[0.0f64; LANES]; LANES];
-                for (di, acc_row) in acc.iter_mut().enumerate() {
-                    let at = (ib + di) * s + jb;
-                    acc_row.copy_from_slice(&self.sums[at..at + LANES]);
-                }
-                for row in rows.chunks_exact(s) {
-                    let a = &row[ib..ib + LANES];
-                    let b = &row[jb..jb + LANES];
-                    for (acc_row, &a_i) in acc.iter_mut().zip(a) {
-                        for (acc_l, &b_l) in acc_row.iter_mut().zip(b) {
-                            *acc_l += a_i * b_l;
-                        }
-                    }
-                }
-                for (di, acc_row) in acc.iter().enumerate() {
-                    let at = (ib + di) * s + jb;
-                    self.sums[at..at + LANES].copy_from_slice(acc_row);
-                }
-            }
-        }
-        self.pending_rows = 0;
-    }
-
-    /// The per-row kernel over the full square, with the matmul skip.
-    // `sums` rows have `stride > cols` entries, so `out[cols]` and
-    // `out[..cols]` are in range.
-    #[allow(clippy::indexing_slicing)]
-    fn accumulate_full(&mut self, row: &[f64], target: f64) {
-        let cols = self.cols;
-        for (&a, out) in row.iter().zip(self.sums.chunks_exact_mut(self.stride)) {
-            out[cols] += a * target;
+        let cols = self.xtb.len();
+        assert_eq!(row.len(), cols, "push_row: row length mismatch");
+        // `max(1)`: a zero-column design has no rows to chunk.
+        let out_rows = self.xtx.as_mut_slice().chunks_exact_mut(cols.max(1));
+        for ((&a, xtb), out) in row.iter().zip(&mut self.xtb).zip(out_rows) {
+            *xtb += a * target;
             if a == 0.0 {
                 continue;
             }
-            for (o, &b) in out[..cols].iter_mut().zip(row) {
+            for (o, &b) in out.iter_mut().zip(row) {
                 *o += a * b;
             }
         }
     }
 
-    /// Copy the upper triangle of `XᵀX` onto the lower one.
-    // `i, j < cols < stride` and `sums.len() == stride * stride`.
-    #[allow(clippy::indexing_slicing)]
-    fn mirror_upper(&mut self) {
-        let s = self.stride;
-        for i in 0..self.cols {
-            for j in 0..i {
-                self.sums[i * s + j] = self.sums[j * s + i];
-            }
-        }
-    }
-
     /// The accumulated system: `(XᵀX + ridge·I, Xᵀb)`.
-    // Row `i < cols` of `sums` has `stride > cols` entries.
-    #[allow(clippy::indexing_slicing)]
     pub fn into_system(mut self, ridge: f64) -> (Matrix, Vec<f64>) {
-        if !self.full {
-            self.flush();
-            self.mirror_upper();
+        let cols = self.xtb.len();
+        for diag in self.xtx.as_mut_slice().iter_mut().step_by(cols + 1) {
+            *diag += ridge;
         }
-        let n = self.cols;
-        let mut ata = Matrix::zeros(n, n);
-        let mut atb = Vec::with_capacity(n);
-        for (i, sums_row) in self.sums.chunks_exact(self.stride).take(n).enumerate() {
-            ata.row_mut(i).copy_from_slice(&sums_row[..n]);
-            ata[(i, i)] += ridge;
-            atb.push(sums_row[n]);
-        }
-        (ata, atb)
+        (self.xtx, self.xtb)
     }
 
     /// Solve `(XᵀX + ridge·I) x = Xᵀb` with [`Matrix::solve`].
     pub fn solve(self, ridge: f64) -> Result<Vec<f64>> {
-        let (ata, atb) = self.into_system(ridge);
-        ata.solve(&atb)
+        let (xtx, xtb) = self.into_system(ridge);
+        xtx.solve(&xtb)
     }
 }
