@@ -350,7 +350,9 @@ mod tests {
     #[test]
     fn rows_cols_accessors() {
         let mut a = Matrix::zeros(2, 3);
-        a.row_mut(1)[2] = 9.0;
+        if let Some(v) = a.row_mut(1).get_mut(2) {
+            *v = 9.0;
+        }
         assert_eq!(a.row(1), &[0.0, 0.0, 9.0]);
         assert_eq!(a.col(2), vec![0.0, 9.0]);
         assert_eq!(a.rows(), 2);

@@ -1,7 +1,7 @@
 //! Linear solvers: Gaussian elimination with partial pivoting and
 //! Cholesky factorisation for symmetric positive-definite systems.
 
-use crate::{LinalgError, Matrix, NormalEquations, Result};
+use crate::{LinalgError, Matrix, Result};
 
 impl Matrix {
     /// Solve `self * x = b` for a square system using Gaussian elimination
@@ -64,25 +64,6 @@ impl Matrix {
             x[col] = sum / a[(col, col)];
         }
         Ok(x)
-    }
-
-    /// Least-squares solve of the overdetermined system `self * x ≈ b`
-    /// via the normal equations `(AᵀA + ridge·I) x = Aᵀ b`. The small ridge
-    /// keeps near-collinear designs (common in AR regressions on smooth
-    /// signals) numerically solvable. The rows stream through
-    /// [`NormalEquations`], so no transpose or product is materialized.
-    pub fn least_squares(&self, b: &[f64], ridge: f64) -> Result<Vec<f64>> {
-        if self.rows() != b.len() {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("rhs of length {}", self.rows()),
-                got: format!("length {}", b.len()),
-            });
-        }
-        let mut normal = NormalEquations::new(self.cols());
-        for (row, &target) in self.row_iter().zip(b) {
-            normal.push_row(row, target);
-        }
-        normal.solve(ridge)
     }
 }
 
@@ -184,8 +165,10 @@ mod tests {
         // 2x + y = 5; x + 3y = 10 -> x = 1, y = 3
         let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
         let x = a.solve(&[5.0, 10.0]).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
+        assert_eq!(x.len(), 2);
+        for (got, want) in x.iter().zip([1.0, 3.0]) {
+            assert!((got - want).abs() < 1e-12, "{x:?}");
+        }
     }
 
     #[test]
@@ -233,15 +216,18 @@ mod tests {
 
     #[test]
     fn least_squares_recovers_line() {
-        // y = 3 + 2x with exact data.
-        let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let design = Matrix::from_rows(
-            &xs.iter().map(|&x| vec![1.0, x]).collect::<Vec<_>>(),
-        );
-        let y: Vec<f64> = xs.iter().map(|&x| 3.0 + 2.0 * x).collect();
-        let beta = design.least_squares(&y, 1e-9).unwrap();
-        assert!((beta[0] - 3.0).abs() < 1e-6);
-        assert!((beta[1] - 2.0).abs() < 1e-6);
+        // y = 3 + 2x with exact data, rows streamed into the normal
+        // equations.
+        let mut normal = crate::NormalEquations::new(2);
+        for x in [0.0, 1.0, 2.0, 3.0, 4.0] {
+            normal.push_row(&[1.0, x], 3.0 + 2.0 * x);
+        }
+        let beta = normal.solve(1e-9).unwrap();
+        let want = [3.0, 2.0];
+        assert_eq!(beta.len(), want.len());
+        for (got, want) in beta.iter().zip(want) {
+            assert!((got - want).abs() < 1e-6, "{beta:?}");
+        }
     }
 
     /// Random SPD matrix as A = B Bᵀ + n·I.

@@ -17,10 +17,10 @@ pub enum MetricKind {
     Gauge,
     /// Log-bucket latency histogram in the cumulative registry.
     Histogram,
-    /// Windowed per-tick sum in the rollup registry
-    /// (see [`crate::rollup`]).
+    /// Per-tick sum over the serving engine's window of its last 64
+    /// ticks (`sintel_serve::slo::TickWindow`), served on `/metrics`.
     RollupDelta,
-    /// Windowed per-tick histogram in the rollup registry.
+    /// Per-tick latency histograms merged over the same window.
     RollupObserve,
 }
 
@@ -164,7 +164,7 @@ pub const METRICS: &[MetricDef] = &[
         name: "sintel_serve_accepted_total",
         kind: MetricKind::Counter,
         labels: &[],
-        help: "Ingest events admitted into a tenant queue.",
+        help: "Ingest events admitted into a tenant queue, added once per tick from its wide event.",
     },
     MetricDef {
         name: "sintel_serve_backlog",
@@ -206,25 +206,25 @@ pub const METRICS: &[MetricDef] = &[
         name: "sintel_serve_emits_per_tick",
         kind: MetricKind::RollupDelta,
         labels: &[],
-        help: "Anomaly events committed per tick over the rollup window.",
+        help: "Anomaly events committed per tick over the engine's tick window.",
     },
     MetricDef {
         name: "sintel_serve_emitted_total",
         kind: MetricKind::Counter,
         labels: &[],
-        help: "Anomaly events committed by the serve tier.",
+        help: "Anomaly events committed by the serve tier, added once per tick from its wide event.",
     },
     MetricDef {
         name: "sintel_serve_events_per_tick",
         kind: MetricKind::RollupDelta,
         labels: &[],
-        help: "Ingest events drained into sessions per tick over the rollup window.",
+        help: "Ingest events drained into sessions per tick over the engine's tick window.",
     },
     MetricDef {
         name: "sintel_serve_pass_failures_per_tick",
         kind: MetricKind::RollupDelta,
         labels: &[],
-        help: "Detection-pass failures per tick over the rollup window.",
+        help: "Detection-pass failures per tick over the engine's tick window.",
     },
     MetricDef {
         name: "sintel_serve_pass_seconds",
@@ -236,7 +236,7 @@ pub const METRICS: &[MetricDef] = &[
         name: "sintel_serve_pass_window_seconds",
         kind: MetricKind::RollupObserve,
         labels: &[],
-        help: "Detection-pass latency distribution over the rollup window (live p50/p90/p99).",
+        help: "Detection-pass latency distribution, `_self` passes included, over the engine's tick window (live p50/p90/p99).",
     },
     MetricDef {
         name: "sintel_serve_quarantined_total",
@@ -248,19 +248,19 @@ pub const METRICS: &[MetricDef] = &[
         name: "sintel_serve_queue_depth",
         kind: MetricKind::Gauge,
         labels: &["tenant"],
-        help: "Per-tenant queue depth after the last offer or drain.",
+        help: "Per-tenant queue depth drained by the last tick, set once per tick.",
     },
     MetricDef {
         name: "sintel_serve_retries_per_tick",
         kind: MetricKind::RollupDelta,
         labels: &[],
-        help: "Backpressure Retry admissions per tick over the rollup window.",
+        help: "Backpressure Retry admissions per tick over the engine's tick window.",
     },
     MetricDef {
         name: "sintel_serve_retry_total",
         kind: MetricKind::Counter,
         labels: &[],
-        help: "Offers answered with backpressure Retry{after_ticks}.",
+        help: "Offers answered with backpressure Retry{after_ticks} (a full queue), added once per tick from its wide event.",
     },
     MetricDef {
         name: "sintel_serve_scrape_errors_total",
@@ -278,19 +278,19 @@ pub const METRICS: &[MetricDef] = &[
         name: "sintel_serve_self_events_total",
         kind: MetricKind::Counter,
         labels: &[],
-        help: "Anomaly events the self-monitor emitted on the engine's own operational streams.",
+        help: "Anomaly events the self-monitor emitted on the engine's own operational streams, added once per tick from its wide event.",
     },
     MetricDef {
         name: "sintel_serve_shed_total",
         kind: MetricKind::Counter,
         labels: &[],
-        help: "Offers shed by priority load shedding or a full queue.",
+        help: "Offers shed because the tenant is quarantined or by priority load shedding, added once per tick from its wide event.",
     },
     MetricDef {
         name: "sintel_serve_sheds_per_tick",
         kind: MetricKind::RollupDelta,
         labels: &[],
-        help: "Shed offers per tick over the rollup window.",
+        help: "Shed offers per tick over the engine's tick window.",
     },
     MetricDef {
         name: "sintel_serve_tick_seconds",
@@ -302,7 +302,7 @@ pub const METRICS: &[MetricDef] = &[
         name: "sintel_serve_tick_window_seconds",
         kind: MetricKind::RollupObserve,
         labels: &[],
-        help: "Tick-duration distribution over the rollup window (live p50/p90/p99).",
+        help: "Tick-duration distribution over the engine's tick window (live p50/p90/p99).",
     },
     MetricDef {
         name: "sintel_serve_ticks_total",

@@ -34,7 +34,6 @@ use sintel_common::json::Doc;
 pub mod catalog;
 pub mod log;
 pub mod metrics;
-pub mod rollup;
 pub mod span;
 
 pub use crate::catalog::{metric_def, MetricDef, MetricKind, METRICS};
@@ -44,9 +43,6 @@ pub use crate::log::{
 pub use crate::metrics::{
     counter_add, gauge_set, global, labeled, observe, observe_duration, Histogram, Metric,
     MetricsSnapshot, Registry,
-};
-pub use crate::rollup::{
-    rollup_add, rollup_observe, rollup_tick, rollups, RollupSeries, RollupSnapshot, Rollups,
 };
 pub use crate::span::{
     current_span_id, export_jsonl, flush_trace, parse_jsonl, set_trace_capacity,
@@ -155,7 +151,7 @@ impl From<&FieldValue> for Doc {
 
 /// Format an `f64` as a Prometheus text sample value (never in a
 /// locale-dependent way). JSON goes through [`sintel_common::json`].
-pub(crate) fn format_f64(v: f64) -> String {
+pub fn format_f64(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
         // Integral values keep a ".0" so a sample reads as a float.
         format!("{v:.1}")

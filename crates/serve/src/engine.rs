@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use sintel_obs::Histogram;
 use sintel_pipeline::policy::RunPolicy;
 use sintel_pipeline::template::StepSpec;
 use sintel_pipeline::Template;
@@ -32,7 +33,8 @@ use crate::queue::TenantQueue;
 use crate::selfmon::{SelfMonitor, SELF_TENANT};
 use crate::session::{CheckpointSlot, PassReport, TenantSession};
 use crate::slo::{
-    self, SharedStatus, StatusSnapshot, TenantSlo, TenantTickStats, TickWideEvent,
+    self, SharedStatus, StatusSnapshot, TenantSlo, TenantTickStats, TickRecord, TickWideEvent,
+    TickWindow,
 };
 use crate::{Result, ServeError};
 
@@ -212,6 +214,8 @@ struct TenantRuntime {
     /// event reports admission counters as deltas against it.
     prev_stats: TenantStats,
     pending_since: Option<Instant>,
+    /// This tenant's `sintel_serve_queue_depth{tenant}` series name.
+    depth_gauge: String,
 }
 
 /// The multi-tenant streaming engine (see module docs).
@@ -226,6 +230,9 @@ pub struct ServeEngine {
     status: Option<SharedStatus>,
     /// The last committed tick's wide event.
     last_wide: Option<TickWideEvent>,
+    /// The last [`slo::TICK_WINDOW`] ticks: the `/metrics` window and
+    /// the self-monitor's differencing baseline.
+    window: TickWindow,
     /// Commit duration of the previous tick's checkpoint batch — a
     /// tick's own commit time is unknowable until after its wide event
     /// is inside the batch, so each wide event carries its
@@ -279,6 +286,8 @@ impl ServeEngine {
                 ..TenantStats::default()
             };
             let queue = TenantQueue::new(cfg.queue_capacity);
+            let depth_gauge =
+                sintel_obs::labeled("sintel_serve_queue_depth", &[("tenant", &spec.name)]);
             tenants.insert(
                 spec.name.clone(),
                 TenantRuntime {
@@ -289,11 +298,13 @@ impl ServeEngine {
                     prev_stats: stats.clone(),
                     stats,
                     pending_since: None,
+                    depth_gauge,
                 },
             );
         }
         let self_monitor =
-            if cfg.self_monitor { Some(SelfMonitor::open(&db, &cfg, ticks)?) } else { None };
+            if cfg.self_monitor { Some(SelfMonitor::open(&db, &cfg)?) } else { None };
+        let window = TickWindow::recover(&db, ticks);
         Ok(Self {
             cfg,
             db,
@@ -303,6 +314,7 @@ impl ServeEngine {
             self_monitor,
             status: None,
             last_wide: None,
+            window,
             last_checkpoint_seconds: 0.0,
             _trace_flush: sintel_obs::TraceFlushGuard::new(),
         })
@@ -323,26 +335,20 @@ impl ServeEngine {
         let Some(runtime) = self.tenants.get_mut(&event.tenant) else {
             return Err(ServeError::UnknownTenant(event.tenant.clone()));
         };
-        if runtime.stats.quarantined {
+        if runtime.stats.quarantined
+            || (backlog >= high_water && runtime.spec.priority < floor)
+        {
             runtime.stats.shed += 1;
-            sintel_obs::counter_add("sintel_serve_shed_total", 1);
-            return Ok(Admission::Shed);
-        }
-        if backlog >= high_water && runtime.spec.priority < floor {
-            runtime.stats.shed += 1;
-            sintel_obs::counter_add("sintel_serve_shed_total", 1);
             return Ok(Admission::Shed);
         }
         if !runtime.queue.try_push(event.clone()) {
             runtime.stats.retried += 1;
-            sintel_obs::counter_add("sintel_serve_retry_total", 1);
             return Ok(Admission::Retry { after_ticks: 1 });
         }
         runtime.stats.accepted += 1;
         if runtime.pending_since.is_none() {
             runtime.pending_since = Some(Instant::now());
         }
-        sintel_obs::counter_add("sintel_serve_accepted_total", 1);
         Ok(Admission::Accepted)
     }
 
@@ -359,40 +365,26 @@ impl ServeEngine {
         }
         let tick_span = sintel_obs::span("serve.tick");
 
-        struct WorkItem {
+        struct WorkItem<'a> {
             session: TenantSession,
             events: Vec<IngestEvent>,
-            template: Template,
+            template: &'a Template,
             force_degrade: bool,
         }
 
-        let names: Vec<String> = self.tenants.keys().cloned().collect();
-        let mut slots: Vec<Mutex<Option<WorkItem>>> = Vec::with_capacity(names.len());
-        let mut drained: Vec<u64> = Vec::with_capacity(names.len());
-        for name in &names {
-            let Some(runtime) = self.tenants.get_mut(name) else {
-                slots.push(Mutex::new(None));
-                drained.push(0);
-                continue;
-            };
-            let events = runtime.queue.drain_all();
-            // Queue depth at its per-tick peak (just before the drain).
-            // Gauged here, once per tick, rather than on every offer:
-            // the offer path must stay allocation-free.
-            sintel_obs::gauge_set(
-                &sintel_obs::labeled(
-                    "sintel_serve_queue_depth",
-                    &[("tenant", name.as_str())],
-                ),
-                events.len() as f64,
-            );
-            let session = runtime.session.take().unwrap_or_else(|| TenantSession::new(name));
+        let mut slots: Vec<Mutex<Option<WorkItem>>> = Vec::with_capacity(self.tenants.len());
+        for (name, runtime) in self.tenants.iter_mut() {
+            let TenantRuntime { spec, queue, session, depth_gauge, .. } = runtime;
+            let events = queue.drain_all();
+            // Queue depth at its per-tick peak (just before the drain),
+            // gauged once per tick: the offer path touches no registry.
+            sintel_obs::gauge_set(depth_gauge, events.len() as f64);
+            let session = session.take().unwrap_or_else(|| TenantSession::new(name));
             let force_degrade = events.len() >= self.cfg.degrade_depth;
-            drained.push(events.len() as u64);
             slots.push(Mutex::new(Some(WorkItem {
                 session,
                 events,
-                template: runtime.spec.template.clone(),
+                template: &spec.template,
                 force_degrade,
             })));
         }
@@ -400,7 +392,7 @@ impl ServeEngine {
         // Tenants are independent: each worker owns one tenant's session
         // and events, so parallelism cannot change any tenant's output.
         let cfg = &self.cfg;
-        let outcomes: Vec<Option<(TenantSession, PassReport)>> =
+        let outcomes: Vec<Option<(TenantSession, PassReport, u64)>> =
             sintel_common::par_map(slots.len(), |i| {
                 let item = {
                     let mut guard = slots[i].lock().unwrap_or_else(|e| e.into_inner());
@@ -412,9 +404,9 @@ impl ServeEngine {
                     session.degrade(&mut report);
                 }
                 for event in &events {
-                    session.absorb(event, &template, cfg, &mut report);
+                    session.absorb(event, template, cfg, &mut report);
                 }
-                Some((session, report))
+                Some((session, report, events.len() as u64))
             });
 
         // One group-committed cut: every checkpoint, every event, the
@@ -427,7 +419,7 @@ impl ServeEngine {
             checkpoint_seconds: self.last_checkpoint_seconds,
             ..TickWideEvent::default()
         };
-        if let Err(e) = self.commit_cut(&names, outcomes, &drained, &mut wide, &mut emitted) {
+        if let Err(e) = self.commit_cut(outcomes, &mut wide, &mut emitted) {
             // The store may now lack writes the slots assume were
             // made: rewrite whole windows at the next checkpoint.
             for runtime in self.tenants.values_mut() {
@@ -447,22 +439,10 @@ impl ServeEngine {
         }
         sintel_obs::counter_add("sintel_serve_ticks_total", 1);
         sintel_obs::observe("sintel_serve_checkpoint_seconds", self.last_checkpoint_seconds);
-        if wide.self_events > 0 {
-            sintel_obs::counter_add("sintel_serve_self_events_total", wide.self_events);
-        }
-        sintel_obs::rollup_add("sintel_serve_events_per_tick", wide.drained);
-        sintel_obs::rollup_add("sintel_serve_sheds_per_tick", wide.shed);
-        sintel_obs::rollup_add("sintel_serve_retries_per_tick", wide.retried);
-        sintel_obs::rollup_add("sintel_serve_emits_per_tick", wide.emitted);
-        sintel_obs::rollup_add("sintel_serve_pass_failures_per_tick", wide.pass_failures);
         sintel_obs::gauge_set("sintel_serve_backlog", self.aggregate_depth() as f64);
         let tick_elapsed = tick_span.close();
         sintel_obs::observe_duration("sintel_serve_tick_seconds", tick_elapsed);
-        sintel_obs::rollup_observe(
-            "sintel_serve_tick_window_seconds",
-            tick_elapsed.as_secs_f64(),
-        );
-        sintel_obs::rollup_tick();
+        self.window.time_newest(tick_elapsed.as_secs_f64());
         self.last_wide = Some(wide);
         self.publish_status();
         Ok(emitted)
@@ -471,20 +451,23 @@ impl ServeEngine {
     /// Write one tick's cut inside a single batch and commit it: each
     /// tenant's checkpoint and events (folding its report into `wide`
     /// and `emitted`), the `_self` monitor's, the wide event and the
-    /// tick counter.
+    /// tick counter. Once the wide event's counts are final, before the
+    /// `_self` writes, the tick is recorded in the window and the
+    /// cumulative counters: a failed commit still counts its offers.
     fn commit_cut(
         &mut self,
-        names: &[String],
-        outcomes: Vec<Option<(TenantSession, PassReport)>>,
-        drained: &[u64],
+        outcomes: Vec<Option<(TenantSession, PassReport, u64)>>,
         wide: &mut TickWideEvent,
         emitted: &mut Vec<AnomalyEvent>,
     ) -> Result<()> {
         let scope = self.db.batch();
-        let mut reports = Vec::with_capacity(names.len());
-        for (i, (name, outcome)) in names.iter().zip(outcomes).enumerate() {
-            let Some((session, report)) = outcome else { continue };
-            let Some(runtime) = self.tenants.get_mut(name) else { continue };
+        let mut pass_latency = Histogram::new();
+        let mut reports = Vec::with_capacity(outcomes.len());
+        for ((name, runtime), outcome) in self.tenants.iter_mut().zip(outcomes) {
+            let Some((session, report, drained)) = outcome else {
+                reports.push(None);
+                continue;
+            };
             let stats = &mut runtime.stats;
             stats.absorbed += report.absorbed;
             stats.stale_dropped += report.stale_dropped;
@@ -500,15 +483,15 @@ impl ServeEngine {
                 accepted: stats.accepted - runtime.prev_stats.accepted,
                 retried: stats.retried - runtime.prev_stats.retried,
                 shed: stats.shed - runtime.prev_stats.shed,
-                drained: drained.get(i).copied().unwrap_or(0),
+                drained,
                 absorbed: report.absorbed,
                 stale_dropped: report.stale_dropped,
                 emitted: report.events.len() as u64,
                 passes_run: report.passes_run,
                 passes_skipped: report.passes_skipped,
                 pass_failures: report.pass_failures,
-                pass_seconds: report.pass_seconds,
-                breaker_state: session.breaker().state().label().to_string(),
+                pass_seconds: report.pass_latency.sum(),
+                breaker_state: session.breaker().state().label(),
                 breaker_trips: stats.breaker_trips,
                 degraded: stats.degraded,
                 quarantined: stats.quarantined,
@@ -524,6 +507,7 @@ impl ServeEngine {
             wide.pass_failures += tenant_tick.pass_failures;
             wide.pass_seconds += tenant_tick.pass_seconds;
             wide.tenants.push(tenant_tick);
+            pass_latency.merge(&report.pass_latency);
             if report.tripped > 0 {
                 sintel_obs::counter_add("sintel_serve_breaker_trips_total", report.tripped);
             }
@@ -534,10 +518,6 @@ impl ServeEngine {
                 sintel_obs::counter_add("sintel_serve_quarantined_total", 1);
             }
             if !report.events.is_empty() {
-                sintel_obs::counter_add(
-                    "sintel_serve_emitted_total",
-                    report.events.len() as u64,
-                );
                 if let Some(since) = runtime.pending_since.take() {
                     sintel_obs::observe(
                         "sintel_serve_emit_latency_seconds",
@@ -546,12 +526,12 @@ impl ServeEngine {
                 }
             }
             runtime.session = Some(session);
-            reports.push((name, report.events));
+            reports.push(Some(report.events));
         }
         // Every session is back in place before the first write, so a
         // failed write loses no in-memory state.
-        for (name, events) in reports {
-            let Some(runtime) = self.tenants.get_mut(name) else { continue };
+        for (runtime, events) in self.tenants.values_mut().zip(reports) {
+            let Some(events) = events else { continue };
             if let Some(session) = &runtime.session {
                 session.checkpoint(&self.db, &mut runtime.slot, &self.cfg)?;
             }
@@ -565,18 +545,35 @@ impl ServeEngine {
         wide.backlog = self.aggregate_depth() as u64;
 
         // Self-monitoring: absorb this tick's operational measurements
-        // (now final) through the `_self` session, committing its
-        // checkpoint and any anomalies it raised in the same cut. Its
-        // events are persisted, never returned.
-        if let Some(monitor) = self.self_monitor.as_mut() {
-            let report = monitor.observe_tick(self.ticks, wide);
+        // (now final), differenced against the window's newest record,
+        // through the `_self` session, committing its checkpoint and
+        // any anomalies it raised in the same cut. Its events are
+        // persisted, never returned.
+        let self_report = self
+            .self_monitor
+            .as_mut()
+            .map(|monitor| monitor.observe_tick(self.ticks, wide, self.window.newest()));
+        if let Some(report) = &self_report {
+            pass_latency.merge(&report.pass_latency);
+            wide.self_events = report.events.len() as u64;
+        }
+        self.window.push(TickRecord::new(wide, pass_latency));
+        for (counter, by) in [
+            ("sintel_serve_accepted_total", wide.accepted),
+            ("sintel_serve_retry_total", wide.retried),
+            ("sintel_serve_shed_total", wide.shed),
+            ("sintel_serve_emitted_total", wide.emitted),
+            ("sintel_serve_self_events_total", wide.self_events),
+        ] {
+            sintel_obs::counter_add(counter, by);
+        }
+        if let (Some(monitor), Some(report)) = (self.self_monitor.as_mut(), self_report) {
             monitor.checkpoint(&self.db)?;
             for ev in &report.events {
                 self.db.add_serve_event(
                     &ev.tenant, &ev.signal, ev.seq, ev.start, ev.end, ev.severity, ev.pass,
                 )?;
             }
-            wide.self_events = report.events.len() as u64;
         }
         self.db.add_serve_tick(wide.to_doc())?;
 
@@ -678,12 +675,11 @@ impl ServeEngine {
                     breaker_state: runtime
                         .session
                         .as_ref()
-                        .map(|s| s.breaker().state().label())
-                        .unwrap_or("closed")
-                        .to_string(),
+                        .map_or("closed", |s| s.breaker().state().label()),
                 })
                 .collect(),
             last_tick: self.last_wide.clone(),
+            window: self.window.clone(),
         }
     }
 
@@ -721,6 +717,7 @@ fn decode_event(doc: &Doc) -> Option<AnomalyEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slo::WindowSum;
 
     fn cheap_template() -> Template {
         Template {
@@ -866,5 +863,55 @@ mod tests {
         assert_eq!(fine_events, coarse_events,
             "emissions must be a pure function of the accepted event sequence");
         assert_eq!(fine.session("acme"), coarse.session("acme"));
+    }
+
+    #[test]
+    fn two_engines_keep_separate_windows() {
+        let mut busy = one_tenant_engine(ServeConfig::for_tests());
+        let mut quiet = one_tenant_engine(ServeConfig::for_tests());
+        for t in 0..30 {
+            busy.offer(&IngestEvent::new("acme", "cpu", t, value_at(t))).unwrap();
+            if (t + 1) % 10 == 0 {
+                busy.tick().expect("tick");
+            }
+        }
+        let fresh = quiet.status_snapshot().window;
+        assert!(fresh.newest().is_none(), "a new engine starts with an empty window");
+        for t in 0..4 {
+            quiet.offer(&IngestEvent::new("acme", "cpu", t, value_at(t))).unwrap();
+        }
+        quiet.tick().expect("tick");
+        let busy_window = busy.status_snapshot().window;
+        let quiet_window = quiet.status_snapshot().window;
+        assert_eq!(
+            busy_window.sum(|r| r.drained),
+            WindowSum { last: 10, total: 30, ticks: 3, peak: 10 }
+        );
+        assert_eq!(
+            quiet_window.sum(|r| r.drained),
+            WindowSum { last: 4, total: 4, ticks: 1, peak: 4 }
+        );
+        assert_eq!(busy_window.tick_latency().count(), 3);
+        assert_eq!(quiet_window.tick_latency().count(), 1);
+    }
+
+    #[test]
+    fn offers_reach_the_window_only_when_ticked() {
+        let cfg = ServeConfig { queue_capacity: 3, ..ServeConfig::for_tests() };
+        let mut engine = one_tenant_engine(cfg);
+        for t in 0..5 {
+            engine.offer(&IngestEvent::new("acme", "cpu", t, value_at(t))).unwrap();
+        }
+        assert!(engine.status_snapshot().window.newest().is_none());
+        engine.tick().expect("tick");
+        let window = engine.status_snapshot().window;
+        let wide = engine.last_wide_event().expect("a tick ran");
+        let record = window.newest().expect("the tick is recorded");
+        assert_eq!((record.drained, record.retried, record.shed), (3, 2, 0));
+        assert_eq!(
+            (record.drained, record.retried, record.emitted, record.backlog),
+            (wide.drained, wide.retried, wide.emitted, wide.backlog)
+        );
+        assert!(record.tick_seconds >= 0.0, "a committed tick is timed");
     }
 }

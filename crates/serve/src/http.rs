@@ -4,7 +4,9 @@
 //! — no framework, no async runtime, four read-only routes:
 //!
 //! * `GET /metrics`  — Prometheus text: the global registry plus the
-//!   windowed rollup series;
+//!   per-tick series of the engine's window of its last 64 ticks
+//!   (`_last`, `_window_total`, `_window_per_tick`, and `_window_count`
+//!   with p50/p90/p99 for latencies), read from the published snapshot;
 //! * `GET /healthz`  — readiness JSON; answers 503 once every tenant is
 //!   quarantined (see [`crate::slo::Readiness`]);
 //! * `GET /tenants`  — per-tenant SLO summaries as a JSON array;
@@ -12,8 +14,8 @@
 //!   (default 256).
 //!
 //! Determinism: the server thread only ever *reads* — the published
-//! [`StatusSnapshot`] (an `Arc` swap), the global metrics registry and
-//! the trace ring. It holds no engine lock and writes nothing the
+//! [`crate::slo::StatusSnapshot`] (an `Arc` swap), the global metrics
+//! registry and the trace ring. It holds no engine lock and writes nothing the
 //! engine's commit path reads, so scraping at any rate cannot perturb
 //! committed emissions or persisted bytes; the scrape-under-load
 //! property test pins that down bitwise. The only registry writes from
@@ -268,7 +270,7 @@ fn handle_connection(stream: TcpStream, status: &SharedStatus) -> std::io::Resul
     match path {
         "/metrics" => {
             let mut body = sintel_obs::global().snapshot().to_prometheus();
-            body.push_str(&sintel_obs::rollups().snapshot().to_prometheus());
+            body.push_str(&current(status).window.to_prometheus());
             respond(&mut stream, 200, "OK", "text/plain; version=0.0.4", &body)
         }
         "/healthz" => {

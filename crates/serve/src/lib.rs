@@ -46,8 +46,10 @@
 //! the determinism boundary:
 //!
 //! * [`slo`] — per-tick [`slo::TickWideEvent`] records (persisted to
-//!   the `serve_ticks` collection inside each tick's group commit) and
-//!   the immutable [`slo::StatusSnapshot`] the engine publishes;
+//!   the `serve_ticks` collection inside each tick's group commit), the
+//!   engine's [`slo::TickWindow`] of its last 64 ticks derived from
+//!   them, and the immutable [`slo::StatusSnapshot`] the engine
+//!   publishes;
 //! * [`http::StatusServer`] — a zero-dependency HTTP endpoint serving
 //!   `/metrics`, `/healthz`, `/tenants` and `/trace` from published
 //!   snapshots and the global registry, read-only by construction;

@@ -25,9 +25,10 @@
 //! any thread count; the scrape-purity suite relies on that. The
 //! session checkpoints through the same [`TenantSession::checkpoint`]
 //! into the same collections, inside the same group commit as tenant
-//! cuts, and the differencing baseline is re-seeded from the last
-//! committed wide event on recovery, so a recovered self-monitor
-//! continues exactly where the committed cut left it.
+//! cuts. The differencing baseline is the newest record of the
+//! engine's [`crate::slo::TickWindow`], which a reopened engine
+//! recovers from the last committed wide event, so a recovered
+//! self-monitor continues exactly where the committed cut left it.
 //!
 //! Isolation: `_self` is not a registered tenant. It cannot be offered
 //! events, is invisible in [`crate::engine::ServeStats::tenants`], and
@@ -39,9 +40,9 @@
 use crate::engine::ServeConfig;
 use crate::event::IngestEvent;
 use crate::session::{CheckpointSlot, PassReport, TenantSession};
-use crate::slo::TickWideEvent;
+use crate::slo::{TickRecord, TickWideEvent};
 use crate::Result;
-use sintel_store::{Doc, SintelDb};
+use sintel_store::SintelDb;
 
 /// The reserved tenant name the engine's own anomalies are filed
 /// under. Rejected as a registered tenant name.
@@ -58,9 +59,6 @@ pub struct SelfMonitor {
     session: TenantSession,
     slot: CheckpointSlot,
     cfg: ServeConfig,
-    /// Raw stream values at the previously observed tick (the
-    /// differencing baseline); `None` until the first observation.
-    last_raw: Option<[f64; 4]>,
 }
 
 impl SelfMonitor {
@@ -72,14 +70,10 @@ impl SelfMonitor {
     const MIN_POINTS: usize = 32;
 
     /// Open the self-monitor over `db`, recovering a checkpointed
-    /// `_self` session if one was committed. `ticks` is the engine's
-    /// recovered tick counter: the differencing baseline is re-seeded
-    /// from that tick's committed wide event (written in the same
-    /// batch as the session checkpoint, so the two always agree).
-    /// Scheduling knobs are fixed — the streams are one sample per
-    /// tick — while the run policy and fallback template are inherited
-    /// from the engine's config.
-    pub fn open(db: &SintelDb, base: &ServeConfig, ticks: u64) -> Result<SelfMonitor> {
+    /// `_self` session if one was committed. Scheduling knobs are fixed
+    /// — the streams are one sample per tick — while the run policy and
+    /// fallback template are inherited from the engine's config.
+    pub fn open(db: &SintelDb, base: &ServeConfig) -> Result<SelfMonitor> {
         let cfg = ServeConfig {
             window: Self::WINDOW,
             hop: Self::HOP,
@@ -87,39 +81,29 @@ impl SelfMonitor {
             ..base.clone()
         };
         let (session, slot) = TenantSession::recover(db, SELF_TENANT)?;
-        let last_raw = if ticks > 0 {
-            db.serve_ticks_at(ticks).first().map(|doc| {
-                let field = |k: &str| {
-                    doc.get(k).and_then(Doc::as_i64).unwrap_or(0).max(0) as f64
-                };
-                [field("drained"), field("shed"), field("pass_failures"), field("backlog")]
-            })
-        } else {
-            None
-        };
-        Ok(SelfMonitor { session, slot, cfg, last_raw })
+        Ok(SelfMonitor { session, slot, cfg })
     }
 
-    /// Absorb one committed tick's operational measurements, running
-    /// any detection pass that falls due. Timestamps are logical ticks,
-    /// so replaying an already-observed tick after recovery is dropped
-    /// idempotently like any stale sample (the differencing baseline
-    /// still advances, keeping replays convergent).
-    pub fn observe_tick(&mut self, tick: u64, wide: &TickWideEvent) -> PassReport {
+    /// Absorb one committed tick's operational measurements as first
+    /// differences against `previous`, the tick before it (none before
+    /// the first tick: the first differences are then 0), running any
+    /// detection pass that falls due. Timestamps are logical ticks, so
+    /// replaying an already-observed tick after recovery is dropped
+    /// idempotently like any stale sample (the caller's baseline still
+    /// advances, keeping replays convergent).
+    pub fn observe_tick(
+        &mut self,
+        tick: u64,
+        wide: &TickWideEvent,
+        previous: Option<&TickRecord>,
+    ) -> PassReport {
         let timestamp = tick.min(i64::MAX as u64) as i64;
         let mut report = PassReport::default();
         let template = self.cfg.fallback.clone();
-        let raw = [
-            wide.drained as f64,
-            wide.shed as f64,
-            wide.pass_failures as f64,
-            wide.backlog as f64,
-        ];
-        let base = self.last_raw.unwrap_or(raw);
-        self.last_raw = Some(raw);
-        for (i, signal) in STREAMS.into_iter().enumerate() {
-            let delta = raw[i] - base[i];
-            let event = IngestEvent::new(SELF_TENANT, signal, timestamp, delta);
+        let now = [wide.drained, wide.shed, wide.pass_failures, wide.backlog];
+        let base = previous.map_or(now, |r| [r.drained, r.shed, r.pass_failures, r.backlog]);
+        for ((signal, now), base) in STREAMS.into_iter().zip(now).zip(base) {
+            let event = IngestEvent::new(SELF_TENANT, signal, timestamp, now as f64 - base as f64);
             self.session.absorb(&event, &template, &self.cfg, &mut report);
         }
         report
@@ -146,6 +130,8 @@ impl SelfMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slo::TickWindow;
+    use sintel_obs::Histogram;
 
     fn wide(tick: u64, drained: u64, shed: u64, failures: u64) -> TickWideEvent {
         TickWideEvent {
@@ -157,14 +143,30 @@ mod tests {
         }
     }
 
+    /// Observe one tick, then record it in `window`, as the engine does.
+    fn step(
+        monitor: &mut SelfMonitor,
+        window: &mut TickWindow,
+        wide: &TickWideEvent,
+    ) -> PassReport {
+        let report = monitor.observe_tick(wide.tick, wide, window.newest());
+        window.push(TickRecord::new(wide, Histogram::new()));
+        report
+    }
+
+    fn open(db: &SintelDb) -> SelfMonitor {
+        SelfMonitor::open(db, &ServeConfig::for_tests()).expect("open")
+    }
+
     #[test]
     fn quiet_workload_emits_no_self_anomalies() {
         let db = SintelDb::in_memory();
-        let mut monitor = SelfMonitor::open(&db, &ServeConfig::for_tests(), 0).expect("open");
+        let mut monitor = open(&db);
+        let mut window = TickWindow::default();
         let mut emitted = Vec::new();
         for tick in 1..=96 {
             // Heavy but perfectly steady: differencing keeps it silent.
-            let report = monitor.observe_tick(tick, &wide(tick, 500, 0, 0));
+            let report = step(&mut monitor, &mut window, &wide(tick, 500, 0, 0));
             emitted.extend(report.events);
         }
         assert!(emitted.is_empty(), "steady per-tick streams must stay quiet: {emitted:?}");
@@ -176,12 +178,13 @@ mod tests {
     #[test]
     fn shed_burst_surfaces_as_self_anomaly() {
         let db = SintelDb::in_memory();
-        let mut monitor = SelfMonitor::open(&db, &ServeConfig::for_tests(), 0).expect("open");
+        let mut monitor = open(&db);
+        let mut window = TickWindow::default();
         let mut events = Vec::new();
         for tick in 1..=128 {
             // One violent shed burst mid-stream.
             let shed = if (70..74).contains(&tick) { 500 } else { 0 };
-            let report = monitor.observe_tick(tick, &wide(tick, 8, shed, 0));
+            let report = step(&mut monitor, &mut window, &wide(tick, 8, shed, 0));
             events.extend(report.events);
         }
         assert!(
@@ -193,27 +196,27 @@ mod tests {
 
     #[test]
     fn observation_is_idempotent_and_deterministic() {
-        let db = SintelDb::in_memory();
         let feed = |monitor: &mut SelfMonitor, from: u64, to: u64| {
+            let mut window = TickWindow::default();
             let mut events = Vec::new();
             for tick in from..=to {
                 let shed = if tick == 60 { 300 } else { 0 };
-                events.extend(monitor.observe_tick(tick, &wide(tick, 4, shed, 0)).events);
+                events.extend(step(monitor, &mut window, &wide(tick, 4, shed, 0)).events);
             }
             events
         };
 
-        let mut full = SelfMonitor::open(&db, &ServeConfig::for_tests(), 0).expect("open");
+        let mut full = open(&SintelDb::in_memory());
         let full_events = feed(&mut full, 1, 100);
 
         // Crash at tick 50, recover from the checkpoint, replay the
         // whole tick stream: stale ticks are absorbed idempotently and
         // the emission sequence converges bitwise.
-        let db2 = SintelDb::in_memory();
-        let mut first = SelfMonitor::open(&db2, &ServeConfig::for_tests(), 0).expect("open");
+        let db = SintelDb::in_memory();
+        let mut first = open(&db);
         let early = feed(&mut first, 1, 50);
-        first.checkpoint(&db2).expect("checkpoint");
-        let mut resumed = SelfMonitor::open(&db2, &ServeConfig::for_tests(), 0).expect("recover");
+        first.checkpoint(&db).expect("checkpoint");
+        let mut resumed = open(&db);
         let late = feed(&mut resumed, 1, 100);
 
         assert_eq!(resumed.session(), full.session());
@@ -225,22 +228,26 @@ mod tests {
     #[test]
     fn recovery_reseeds_differencing_baseline_from_wide_event() {
         // A run whose load steps up to a new steady level right before
-        // the crash: without baseline re-seeding, recovery would see
-        // the post-crash level as a fresh spike.
+        // the crash: the reopened engine's window must resume from the
+        // committed level, or the first post-crash delta would differ
+        // from the one the uninterrupted run saw.
         let db = SintelDb::in_memory();
-        let mut monitor = SelfMonitor::open(&db, &ServeConfig::for_tests(), 0).expect("open");
+        let mut monitor = open(&db);
+        let mut window = TickWindow::default();
         for tick in 1..=40u64 {
-            monitor.observe_tick(tick, &wide(tick, 100, 0, 0));
+            step(&mut monitor, &mut window, &wide(tick, 100, 0, 0));
         }
         monitor.checkpoint(&db).expect("checkpoint");
         db.add_serve_tick(wide(40, 100, 0, 0).to_doc()).expect("wide event");
 
-        let recovered = SelfMonitor::open(&db, &ServeConfig::for_tests(), 40).expect("recover");
-        assert_eq!(recovered.last_raw, Some([100.0, 0.0, 0.0, 0.0]));
-        // Without a committed wide event at that tick, the baseline
-        // stays unseeded (first post-recovery delta is then 0 by the
-        // `unwrap_or(raw)` rule — still quiet, not a spike).
-        let fresh = SelfMonitor::open(&db, &ServeConfig::for_tests(), 39).expect("recover");
-        assert_eq!(fresh.last_raw, None);
+        let recovered = TickWindow::recover(&db, 40);
+        let counts = |r: &TickRecord| (r.drained, r.shed, r.pass_failures, r.backlog);
+        assert_eq!(recovered.newest().map(counts), window.newest().map(counts));
+        assert_eq!(recovered.sum(|r| r.drained).ticks, 1);
+        // Without a committed wide event at that tick, the window starts
+        // empty (the first post-recovery delta is then 0 — still quiet,
+        // not a spike).
+        assert!(TickWindow::recover(&db, 39).newest().is_none());
+        assert!(TickWindow::recover(&db, 0).newest().is_none());
     }
 }

@@ -21,6 +21,7 @@
 
 use std::collections::BTreeMap;
 
+use sintel_obs::Histogram;
 use sintel_pipeline::policy::{classify_pipeline_error, run_with_policy, Failure, FailureKind};
 use sintel_pipeline::Template;
 use sintel_store::{Doc, SintelDb};
@@ -100,10 +101,10 @@ pub struct PassReport {
     pub passes_skipped: u64,
     /// Attempted passes that failed their run policy.
     pub pass_failures: u64,
-    /// Wall time spent inside detection passes (volatile: the only
+    /// Wall time of each detection pass (volatile: the only
     /// nondeterministic field in a report; never feeds back into
     /// emission decisions).
-    pub pass_seconds: f64,
+    pub pass_latency: Histogram,
     /// Breaker trips that happened this tick.
     pub tripped: u64,
     /// The tenant degraded to the fallback pipeline this tick.
@@ -277,8 +278,7 @@ impl TenantSession {
         let (result, _attempts) = run_with_policy(&cfg.policy, task);
         let elapsed = span.close();
         sintel_obs::observe_duration("sintel_serve_pass_seconds", elapsed);
-        sintel_obs::rollup_observe("sintel_serve_pass_window_seconds", elapsed.as_secs_f64());
-        report.pass_seconds += elapsed.as_secs_f64();
+        report.pass_latency.observe(elapsed.as_secs_f64());
         match result {
             Ok(mut intervals) => {
                 let was_half_open = matches!(self.breaker.state(), BreakerState::HalfOpen);

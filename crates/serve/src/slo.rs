@@ -10,6 +10,12 @@
 //!   `serve_ticks` collection inside the same group commit as the
 //!   session checkpoints, so post-hoc forensics can replay exactly
 //!   what every committed tick looked like.
+//! * [`TickWindow`] — the engine's ring of its last [`TICK_WINDOW`]
+//!   ticks, one compact [`TickRecord`] per tick taken from its wide
+//!   event plus the tick's wall time and pass latencies. It is the
+//!   only windowed view of the serve counts: `/metrics` renders its
+//!   per-tick series, and the self-monitor differences against its
+//!   newest record.
 //! * [`StatusSnapshot`] / [`TenantSlo`] — the read-only view the HTTP
 //!   status server exposes. The engine publishes a fresh immutable
 //!   snapshot behind a [`SharedStatus`] handle once per tick; scrapes
@@ -20,9 +26,11 @@
 //! only nondeterministic values in a persisted wide event; byte-level
 //! determinism tests mask exactly [`VOLATILE_TICK_FIELDS`].
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use sintel_store::Doc;
+use sintel_obs::{format_f64, Histogram};
+use sintel_store::{Doc, SintelDb};
 
 use crate::engine::TenantStats;
 
@@ -62,7 +70,7 @@ pub struct TenantTickStats {
     /// (volatile; masked in determinism tests).
     pub pass_seconds: f64,
     /// Breaker state after the tick (`closed`/`open`/`half_open`).
-    pub breaker_state: String,
+    pub breaker_state: &'static str,
     /// Cumulative breaker trips.
     pub breaker_trips: u64,
     /// Running the fallback pipeline after this tick.
@@ -87,7 +95,7 @@ impl TenantTickStats {
             .with("passes_skipped", self.passes_skipped)
             .with("pass_failures", self.pass_failures)
             .with("pass_seconds", self.pass_seconds)
-            .with("breaker_state", self.breaker_state.as_str())
+            .with("breaker_state", self.breaker_state)
             .with("breaker_trips", self.breaker_trips)
             .with("degraded", self.degraded)
             .with("quarantined", self.quarantined)
@@ -162,6 +170,193 @@ impl TickWideEvent {
     }
 }
 
+/// Ticks a [`TickWindow`] keeps.
+pub const TICK_WINDOW: usize = 64;
+
+/// One tick in a [`TickWindow`]: the counts of its wide event, its
+/// wall time and the latencies of its detection passes.
+#[derive(Debug, Clone)]
+pub struct TickRecord {
+    /// Events drained into sessions.
+    pub drained: u64,
+    /// Shed offers.
+    pub shed: u64,
+    /// `Retry` answers.
+    pub retried: u64,
+    /// Tenant anomaly events committed.
+    pub emitted: u64,
+    /// Attempted passes that failed.
+    pub pass_failures: u64,
+    /// Events still queued after the tick.
+    pub backlog: u64,
+    /// Wall time of the whole tick; NaN for a tick whose commit failed
+    /// and for the record recovered from the store at open, which
+    /// [`Histogram::observe`] skips.
+    pub tick_seconds: f64,
+    /// Latency of every detection pass the tick ran, `_self` included.
+    pub pass_latency: Histogram,
+}
+
+impl TickRecord {
+    /// The record of a tick whose wide event is `wide` (final except
+    /// for `self_events`) and whose passes took `pass_latency`.
+    pub(crate) fn new(wide: &TickWideEvent, pass_latency: Histogram) -> Self {
+        Self {
+            drained: wide.drained,
+            shed: wide.shed,
+            retried: wide.retried,
+            emitted: wide.emitted,
+            pass_failures: wide.pass_failures,
+            backlog: wide.backlog,
+            tick_seconds: f64::NAN,
+            pass_latency,
+        }
+    }
+}
+
+/// A per-tick count summed over a [`TickWindow`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WindowSum {
+    /// The newest tick's count.
+    pub last: u64,
+    /// Sum over the window.
+    pub total: u64,
+    /// Ticks in the window.
+    pub ticks: usize,
+    /// Largest single-tick count in the window.
+    pub peak: u64,
+}
+
+impl WindowSum {
+    /// Mean count per tick (0 for an empty window).
+    pub fn per_tick(&self) -> f64 {
+        if self.ticks == 0 {
+            0.0
+        } else {
+            self.total as f64 / self.ticks as f64
+        }
+    }
+}
+
+/// The engine's last [`TICK_WINDOW`] ticks, oldest first (see module
+/// docs). Its storage is allocated once, when the window is made.
+#[derive(Debug, Clone)]
+pub struct TickWindow {
+    records: VecDeque<TickRecord>,
+}
+
+impl Default for TickWindow {
+    fn default() -> Self {
+        Self { records: VecDeque::with_capacity(TICK_WINDOW) }
+    }
+}
+
+impl TickWindow {
+    /// The window of an engine reopened at `ticks`: the committed wide
+    /// event of that tick, if any, as its one record. The self-monitor
+    /// resumes differencing from it.
+    pub(crate) fn recover(db: &SintelDb, ticks: u64) -> Self {
+        let mut window = Self::default();
+        if let Some(doc) = db.serve_ticks_at(ticks).first() {
+            let field = |k: &str| doc.get(k).and_then(Doc::as_i64).unwrap_or(0).max(0) as u64;
+            let wide = TickWideEvent {
+                drained: field("drained"),
+                shed: field("shed"),
+                retried: field("retried"),
+                emitted: field("emitted"),
+                pass_failures: field("pass_failures"),
+                backlog: field("backlog"),
+                ..TickWideEvent::default()
+            };
+            window.push(TickRecord::new(&wide, Histogram::new()));
+        }
+        window
+    }
+
+    /// Append the newest tick, evicting the oldest past [`TICK_WINDOW`].
+    pub(crate) fn push(&mut self, record: TickRecord) {
+        if self.records.len() == TICK_WINDOW {
+            self.records.pop_front();
+        }
+        self.records.push_back(record);
+    }
+
+    /// The newest tick, if any.
+    pub fn newest(&self) -> Option<&TickRecord> {
+        self.records.back()
+    }
+
+    /// Set the newest tick's wall time once its commit has succeeded.
+    pub(crate) fn time_newest(&mut self, seconds: f64) {
+        if let Some(record) = self.records.back_mut() {
+            record.tick_seconds = seconds;
+        }
+    }
+
+    /// One per-tick count summed over the window.
+    pub fn sum(&self, count: fn(&TickRecord) -> u64) -> WindowSum {
+        let mut sum = WindowSum { ticks: self.records.len(), ..WindowSum::default() };
+        for record in &self.records {
+            let n = count(record);
+            sum.total += n;
+            sum.peak = sum.peak.max(n);
+            sum.last = n;
+        }
+        sum
+    }
+
+    /// Every pass latency in the window, merged.
+    pub fn pass_latency(&self) -> Histogram {
+        let mut merged = Histogram::new();
+        for record in &self.records {
+            merged.merge(&record.pass_latency);
+        }
+        merged
+    }
+
+    /// The wall times of the window's timed ticks.
+    pub fn tick_latency(&self) -> Histogram {
+        let mut merged = Histogram::new();
+        for record in &self.records {
+            merged.observe(record.tick_seconds);
+        }
+        merged
+    }
+
+    /// The window's seven series as Prometheus gauges, in name order.
+    /// A count `X` renders `X_last`, `X_window_total` and
+    /// `X_window_per_tick`; a latency `X` renders `X_window_count` and
+    /// `X_window_p50/p90/p99`.
+    pub fn to_prometheus(&self) -> String {
+        let mut out = String::new();
+        render_sum(&mut out, "sintel_serve_emits_per_tick", self.sum(|r| r.emitted));
+        render_sum(&mut out, "sintel_serve_events_per_tick", self.sum(|r| r.drained));
+        render_sum(&mut out, "sintel_serve_pass_failures_per_tick", self.sum(|r| r.pass_failures));
+        render_latency(&mut out, "sintel_serve_pass_window_seconds", &self.pass_latency());
+        render_sum(&mut out, "sintel_serve_retries_per_tick", self.sum(|r| r.retried));
+        render_sum(&mut out, "sintel_serve_sheds_per_tick", self.sum(|r| r.shed));
+        render_latency(&mut out, "sintel_serve_tick_window_seconds", &self.tick_latency());
+        out
+    }
+}
+
+fn render_gauge(out: &mut String, name: &str, suffix: &str, value: &str) {
+    out.push_str(&format!("# TYPE {name}_{suffix} gauge\n{name}_{suffix} {value}\n"));
+}
+
+fn render_sum(out: &mut String, name: &str, sum: WindowSum) {
+    render_gauge(out, name, "last", &format_f64(sum.last as f64));
+    render_gauge(out, name, "window_total", &format_f64(sum.total as f64));
+    render_gauge(out, name, "window_per_tick", &format_f64(sum.per_tick()));
+}
+
+fn render_latency(out: &mut String, name: &str, latency: &Histogram) {
+    render_gauge(out, name, "window_count", &latency.count().to_string());
+    for (suffix, q) in [("window_p50", 0.5), ("window_p90", 0.9), ("window_p99", 0.99)] {
+        render_gauge(out, name, suffix, &format_f64(latency.quantile(q)));
+    }
+}
+
 /// The per-tenant SLO summary the `/tenants` endpoint serves:
 /// cumulative counters plus derived ratios and protection state.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -175,7 +370,7 @@ pub struct TenantSlo {
     /// Cumulative admission / processing counters.
     pub stats: TenantStats,
     /// Breaker state (`closed`/`open`/`half_open`).
-    pub breaker_state: String,
+    pub breaker_state: &'static str,
 }
 
 impl TenantSlo {
@@ -219,7 +414,7 @@ impl TenantSlo {
             .with("passes_skipped", self.stats.passes_skipped)
             .with("pass_failures", self.stats.pass_failures)
             .with("failure_ratio", self.failure_ratio())
-            .with("breaker_state", self.breaker_state.as_str())
+            .with("breaker_state", self.breaker_state)
             .with("breaker_trips", self.stats.breaker_trips)
             .with("degraded", self.stats.degraded)
             .with("quarantined", self.stats.quarantined)
@@ -238,6 +433,8 @@ pub struct StatusSnapshot {
     pub tenants: Vec<TenantSlo>,
     /// The last committed wide event, if any tick has run.
     pub last_tick: Option<TickWideEvent>,
+    /// The engine's window of its last ticks (the `/metrics` series).
+    pub window: TickWindow,
 }
 
 /// Health classification of a [`StatusSnapshot`].
@@ -336,13 +533,13 @@ pub fn current(shared: &SharedStatus) -> Arc<StatusSnapshot> {
 mod tests {
     use super::*;
 
-    fn slo(name: &str, quarantined: bool, degraded: bool, breaker: &str) -> TenantSlo {
+    fn slo(name: &str, quarantined: bool, degraded: bool, breaker: &'static str) -> TenantSlo {
         TenantSlo {
             tenant: name.to_string(),
             priority: 5,
             queue_depth: 0,
             stats: TenantStats { quarantined, degraded, ..TenantStats::default() },
-            breaker_state: breaker.to_string(),
+            breaker_state: breaker,
         }
     }
 
@@ -400,7 +597,7 @@ mod tests {
                 absorbed: 9,
                 emitted: 1,
                 passes_run: 2,
-                breaker_state: "closed".to_string(),
+                breaker_state: "closed",
                 ..TenantTickStats::default()
             }],
             ..TickWideEvent::default()
@@ -423,7 +620,7 @@ mod tests {
             ticks: 7,
             backlog: 2,
             tenants: vec![slo("acme", false, true, "closed")],
-            last_tick: None,
+            ..StatusSnapshot::default()
         };
         let health = snap.healthz_json();
         assert!(health.contains("\"status\":\"degraded\""));
@@ -441,5 +638,91 @@ mod tests {
         assert_eq!(current(&shared).ticks, 0);
         publish(&shared, StatusSnapshot { ticks: 42, ..StatusSnapshot::default() });
         assert_eq!(current(&shared).ticks, 42);
+    }
+
+    fn record(drained: u64, passes: &[f64]) -> TickRecord {
+        let mut pass_latency = Histogram::new();
+        for &seconds in passes {
+            pass_latency.observe(seconds);
+        }
+        TickRecord::new(&TickWideEvent { drained, ..TickWideEvent::default() }, pass_latency)
+    }
+
+    #[test]
+    fn window_sums_last_total_per_tick_and_peak() {
+        let mut window = TickWindow::default();
+        for drained in [1, 5, 2, 4] {
+            window.push(record(drained, &[]));
+        }
+        let sum = window.sum(|r| r.drained);
+        assert_eq!(sum, WindowSum { last: 4, total: 12, ticks: 4, peak: 5 });
+        assert!((sum.per_tick() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn window_evicts_after_64_ticks() {
+        let mut window = TickWindow::default();
+        let capacity = window.records.capacity();
+        assert!(capacity >= TICK_WINDOW, "the ring is allocated when the window is made");
+        for drained in 1..=TICK_WINDOW as u64 + 10 {
+            window.push(record(drained, &[]));
+        }
+        let sum = window.sum(|r| r.drained);
+        assert_eq!(sum.ticks, TICK_WINDOW);
+        assert_eq!(sum.last, 74);
+        assert_eq!(sum.peak, 74);
+        assert_eq!(sum.total, (11..=74).sum::<u64>(), "only the last 64 ticks survive");
+        assert_eq!(window.records.capacity(), capacity, "pushing never reallocates");
+    }
+
+    #[test]
+    fn window_merges_pass_latency_quantiles() {
+        let mut window = TickWindow::default();
+        window.push(record(0, &[0.001]));
+        window.push(record(0, &[0.001, 1.0]));
+        let merged = window.pass_latency();
+        assert_eq!(merged.count(), 3);
+        assert!(merged.quantile(0.5) < 0.01);
+        assert!(merged.quantile(0.99) > 1.0, "the slow pass dominates p99");
+        for _ in 1..TICK_WINDOW {
+            window.push(record(0, &[]));
+        }
+        assert_eq!(window.pass_latency().count(), 2, "the first tick's pass is evicted");
+    }
+
+    #[test]
+    fn empty_ticks_read_as_zero() {
+        let mut window = TickWindow::default();
+        assert_eq!(window.sum(|r| r.shed), WindowSum::default());
+        assert_eq!(window.sum(|r| r.shed).per_tick(), 0.0);
+        assert_eq!(window.pass_latency().quantile(0.99), 0.0);
+        window.push(record(0, &[]));
+        window.push(record(0, &[]));
+        assert_eq!(window.sum(|r| r.shed), WindowSum { ticks: 2, ..WindowSum::default() });
+        assert_eq!(window.tick_latency().count(), 0, "an untimed tick is no observation");
+        window.time_newest(0.25);
+        assert_eq!(window.tick_latency().count(), 1);
+    }
+
+    #[test]
+    fn window_renders_prometheus_gauges() {
+        let mut window = TickWindow::default();
+        window.push(record(3, &[0.01]));
+        window.time_newest(0.02);
+        let text = window.to_prometheus();
+        assert!(text.contains(concat!(
+            "# TYPE sintel_serve_events_per_tick_last gauge\n",
+            "sintel_serve_events_per_tick_last 3.0\n",
+        )));
+        assert!(text.contains("sintel_serve_events_per_tick_window_total 3.0\n"));
+        assert!(text.contains("sintel_serve_events_per_tick_window_per_tick 3.0\n"));
+        assert!(text.contains("sintel_serve_sheds_per_tick_last 0.0\n"));
+        assert!(text.contains("sintel_serve_pass_window_seconds_window_count 1\n"));
+        assert!(text.contains("sintel_serve_pass_window_seconds_window_p99"));
+        assert!(text.contains("sintel_serve_tick_window_seconds_window_count 1\n"));
+        // Five counts of three gauges and two latencies of four, each
+        // sample preceded by its TYPE line.
+        assert_eq!(text.lines().count(), 2 * (5 * 3 + 2 * 4));
+        assert_eq!(TickWindow::default().to_prometheus().lines().count(), 2 * (5 * 3 + 2 * 4));
     }
 }

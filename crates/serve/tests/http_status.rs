@@ -35,6 +35,16 @@ fn get(addr: SocketAddr, path: &str) -> (u16, String) {
     (code, body)
 }
 
+/// The value of the unlabeled sample `{series}_{suffix}` in a
+/// Prometheus payload.
+fn sample(body: &str, series: &str, suffix: &str) -> f64 {
+    let name = format!("{series}_{suffix} ");
+    body.lines()
+        .find_map(|line| line.strip_prefix(&name))
+        .and_then(|value| value.parse().ok())
+        .unwrap_or_else(|| panic!("no sample {name} in:\n{body}"))
+}
+
 /// Every non-comment line of a Prometheus text payload must be
 /// `name value` or `name{labels} value` with a parseable float value;
 /// comments must be `# HELP` or `# TYPE`.
@@ -91,12 +101,26 @@ fn all_routes_answer_with_well_formed_payloads() {
     }
 
     // /metrics: Prometheus text with the serve tick counter and the
-    // windowed rollup series present.
+    // window series, whose values are this engine's own six ticks of
+    // 32 drained events each.
     let (code, metrics) = get(addr, "/metrics");
     assert_eq!(code, 200);
     assert_prometheus_well_formed(&metrics);
     assert!(metrics.contains("sintel_serve_ticks_total"), "{metrics}");
-    assert!(metrics.contains("sintel_serve_events_per_tick"), "rollup series missing");
+    assert_eq!(sample(&metrics, "sintel_serve_events_per_tick", "last"), 32.0);
+    assert_eq!(sample(&metrics, "sintel_serve_events_per_tick", "window_total"), 192.0);
+    assert_eq!(sample(&metrics, "sintel_serve_events_per_tick", "window_per_tick"), 32.0);
+    assert_eq!(sample(&metrics, "sintel_serve_sheds_per_tick", "window_total"), 0.0);
+    assert_eq!(sample(&metrics, "sintel_serve_retries_per_tick", "window_total"), 0.0);
+    assert_eq!(sample(&metrics, "sintel_serve_pass_failures_per_tick", "window_total"), 0.0);
+    let stats = engine.stats();
+    let emitted: u64 = stats.tenants.values().map(|t| t.emitted).sum();
+    assert!(emitted > 0, "the spike at t=70 must be detected");
+    assert_eq!(sample(&metrics, "sintel_serve_emits_per_tick", "window_total"), emitted as f64);
+    let passes: u64 = stats.tenants.values().map(|t| t.passes_run).sum::<u64>()
+        + engine.self_session().map_or(0, |s| s.pass_counter());
+    assert_eq!(sample(&metrics, "sintel_serve_pass_window_seconds", "window_count"), passes as f64);
+    assert_eq!(sample(&metrics, "sintel_serve_tick_window_seconds", "window_count"), 6.0);
 
     // /healthz: JSON readiness with the tick counter.
     let (code, health) = get(addr, "/healthz");
@@ -154,9 +178,9 @@ fn healthz_reports_unready_when_all_tenants_quarantined() {
             priority: 5,
             queue_depth: 0,
             stats: TenantStats { quarantined: true, ..TenantStats::default() },
-            breaker_state: "open".to_string(),
+            breaker_state: "open",
         }],
-        last_tick: None,
+        ..StatusSnapshot::default()
     };
     sintel_serve::slo::publish(&shared, snapshot);
     let server = StatusServer::bind("127.0.0.1:0", shared).expect("bind");

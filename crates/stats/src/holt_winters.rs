@@ -1,5 +1,5 @@
 //! Holt–Winters additive triple exponential smoothing — the second
-//! forecaster of the paper's ARIMA reference (Pena et al. [37] evaluate
+//! forecaster of the paper's ARIMA reference (Pena et al. \[37\] evaluate
 //! "ARIMA and HWDS"), added to the hub as an extension pipeline.
 
 use crate::{Result, StatsError};

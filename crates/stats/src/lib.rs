@@ -6,8 +6,8 @@
 //!
 //! * [`arima`] — an ARIMA(p, d, q) forecaster fitted with the
 //!   Hannan–Rissanen two-stage regression, powering the `arima` pipeline
-//!   (Pena et al. [37]).
-//! * [`fft`] — an in-repo radix-2 complex FFT.
+//!   (Pena et al. \[37\]).
+//! * [`fft`](mod@fft) — an in-repo radix-2 complex FFT.
 //! * [`spectral`] — the spectral-residual saliency detector of Ren et
 //!   al. (KDD 2019), the published algorithm behind the Microsoft Azure
 //!   Anomaly Detector service; this is the local stand-in for the
@@ -15,12 +15,12 @@
 //! * [`threshold`] — the nonparametric dynamic error threshold of
 //!   Hundman et al. (KDD 2018) used by the `find_anomalies`
 //!   postprocessing primitive, plus a fixed k·σ baseline for ablation.
-//! * [`decompose`] — seasonal-trend decomposition and change-point
+//! * [`decompose`](mod@decompose) — seasonal-trend decomposition and change-point
 //!   detection, the §5 "distribution shift" preprocessing toolkit.
-//! * [`matrix_profile`] — nearest-neighbour subsequence distances (the
+//! * [`matrix_profile`](mod@matrix_profile) — nearest-neighbour subsequence distances (the
 //!   Stumpy comparator), an extension pipeline in the hub.
 //! * [`holt_winters`] — additive triple exponential smoothing, the
-//!   second forecaster of the paper's reference [37].
+//!   second forecaster of the paper's reference \[37\].
 
 pub mod arima;
 pub mod decompose;

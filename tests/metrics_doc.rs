@@ -5,9 +5,9 @@
 //! * every catalog entry appears in METRICS.md with the right kind and
 //!   label keys, and METRICS.md lists nothing the catalog doesn't;
 //! * every `"sintel_*"` string literal in non-test workspace source
-//!   (the names handed to `counter_add`/`gauge_set`/`observe`/
-//!   `rollup_*`) resolves to a catalog entry, so no crate can record
-//!   an undocumented series.
+//!   (the names handed to `counter_add`/`gauge_set`/`observe` or
+//!   rendered from the serve tick window) resolves to a catalog entry,
+//!   so no crate can record an undocumented series.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
