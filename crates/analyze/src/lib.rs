@@ -38,9 +38,9 @@
 //!
 //! SA000–SA007 come from the per-template walk ([`analyze_pipeline`],
 //! with SA007 requiring the input-length bound of
-//! [`analyze_pipeline_for_len`]); the [`shape`] pass propagates symbolic
+//! [`analyze_pipeline_for_len`]); the `shape` pass propagates symbolic
 //! sequence lengths through per-primitive transfer functions, and the
-//! [`cost`] model rolls up per-step flop/byte estimates. SA008 and
+//! `cost` model rolls up per-step flop/byte estimates. SA008 and
 //! SA010–SA014 are deployment-level diagnostics emitted by
 //! `sintel_serve::analyze_deployment` through the same [`Report`] path;
 //! SA009 is produced at runtime by `sintel-pipeline`'s contract sanitizer

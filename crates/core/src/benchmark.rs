@@ -212,7 +212,7 @@ pub fn benchmark(cfg: &BenchmarkConfig) -> Result<Vec<BenchmarkRow>> {
 ///
 /// When `db` is given, every exhausted run is recorded in the
 /// `run_failures` collection (one strike per attempt) and pairs
-/// reaching [`QUARANTINE_STRIKES`] are quarantined: later benchmark
+/// reaching `QUARANTINE_STRIKES` (2) are quarantined: later benchmark
 /// calls against the same knowledge base skip them (with a logged
 /// reason) instead of re-running a known-bad combination.
 pub fn benchmark_with_db(

@@ -8,7 +8,7 @@
 //!   `Sintel::new("lstm_dynamic_threshold")`, `fit`, `detect`,
 //!   `evaluate`, plus the AutoML entry point `tune` (Figure 4b) in both
 //!   supervised and unsupervised settings (Figure 5);
-//! * [`benchmark`] — the standardized benchmarking suite of §3.4
+//! * [`mod@benchmark`] — the standardized benchmarking suite of §3.4
 //!   (Figure 4c): quality (overlapping / weighted segment scores per
 //!   pipeline per dataset) and computational performance (training time,
 //!   pipeline latency, memory);

@@ -211,9 +211,7 @@ fn deep_fixture() -> (Template, Signal) {
 
 /// The full deep pipeline — fit, per-sample error series and detected
 /// intervals — is bitwise-identical at every thread count with the
-/// vectorized kernels on the hot path. The ~270 extracted windows put
-/// `predict_batch` over its parallel threshold, so the blocked fan-out
-/// itself is under test, not just the serial fallback.
+/// vectorized kernels on the hot path.
 #[test]
 fn deep_pipeline_is_bitwise_identical_at_every_thread_count() {
     let _lock = GUARD.lock().expect("guard");

@@ -17,10 +17,10 @@
 //!   (validated against numerical gradients in the test suite);
 //! * [`adam::Adam`] — the Adam optimiser;
 //! * [`models`] — the four deep architectures of the evaluation:
-//!   [`models::LstmRegressor`] (LSTM DT [24]),
-//!   [`models::LstmAutoencoder`] (LSTM AE [34]),
+//!   [`models::LstmRegressor`] (LSTM DT \[24\]),
+//!   [`models::LstmAutoencoder`] (LSTM AE \[34\]),
 //!   [`models::DenseAutoencoder`] (Dense AE), and
-//!   [`models::TadGan`] (TadGAN [21], adversarial reconstruction with
+//!   [`models::TadGan`] (TadGAN \[21\], adversarial reconstruction with
 //!   Wasserstein critics).
 //!
 //! Everything is `f64`, deterministic from a seed, and sized for CPU

@@ -99,63 +99,21 @@ impl LstmRegressor {
         Ok(self.predict_with(window, &mut self.scratch()))
     }
 
-    /// Windows-per-batch threshold above which [`Self::predict_batch`]
-    /// fans out across threads; the forward pass for one window is
-    /// cheap, so small batches stay serial.
-    const PREDICT_PAR_WINDOWS: usize = 64;
-
-    /// Window count per parallel work item. Fixed (never derived from
-    /// the thread count) so the decomposition — and the scratch-buffer
-    /// grouping — is a function of the input alone, per the
-    /// determinism contract.
-    const PREDICT_BLOCK_WINDOWS: usize = 32;
-
     /// Predict the next value for every window of a batch.
     ///
     /// The shared shape is validated once up front so a bad batch fails
     /// before any work runs. Each prediction is a pure `&self` forward
-    /// pass on the flat inference path; the batch performs O(1)
-    /// allocations — one scratch per fixed-size block — instead of
-    /// O(windows). Above [`Self::PREDICT_PAR_WINDOWS`] windows the
-    /// blocks fan out across threads with results collected in input
-    /// order, bitwise-identical to the serial loop.
+    /// pass on the flat inference path through one reused scratch, so
+    /// the batch performs O(1) allocations instead of O(windows).
     pub fn predict_batch(&self, windows: &Matrix) -> Result<Vec<f64>> {
-        let n = windows.rows();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        if windows.cols() != self.window * self.channels {
+        if windows.rows() > 0 && windows.cols() != self.window * self.channels {
             return Err(NnError::ShapeMismatch {
                 expected: format!("{} values per window", self.window * self.channels),
                 got: format!("{}", windows.cols()),
             });
         }
-        if n >= Self::PREDICT_PAR_WINDOWS && sintel_common::configured_threads() > 1 {
-            let ranges = sintel_common::par::block_ranges(n, Self::PREDICT_BLOCK_WINDOWS);
-            let blocks = sintel_common::par_map(ranges.len(), |b| {
-                // In range: `b` comes from `0..ranges.len()`.
-                #[allow(clippy::indexing_slicing)]
-                let range = ranges[b].clone();
-                let mut scratch = self.scratch();
-                let mut out = Vec::with_capacity(range.len());
-                for i in range {
-                    out.push(self.predict_with(windows.row(i), &mut scratch));
-                }
-                out
-            });
-            let mut out = Vec::with_capacity(n);
-            for block in blocks {
-                out.extend_from_slice(&block);
-            }
-            Ok(out)
-        } else {
-            let mut scratch = self.scratch();
-            let mut out = Vec::with_capacity(n);
-            for w in windows.row_iter() {
-                out.push(self.predict_with(w, &mut scratch));
-            }
-            Ok(out)
-        }
+        let mut scratch = self.scratch();
+        Ok(windows.row_iter().map(|w| self.predict_with(w, &mut scratch)).collect())
     }
 
     /// Train on `(window, next value)` pairs; returns the mean training
@@ -307,9 +265,7 @@ mod tests {
     fn predict_batch_matches_serial_predict_bitwise() {
         let model = LstmRegressor::new(6, 1, 4, 9);
         let mut rng = SintelRng::seed_from_u64(77);
-        // Cross the parallel threshold (and a partial trailing block)
-        // so both code paths and the remainder range are exercised.
-        let rows: Vec<Vec<f64>> = (0..LstmRegressor::PREDICT_PAR_WINDOWS + 9)
+        let rows: Vec<Vec<f64>> = (0..73)
             .map(|_| (0..6).map(|_| rng.uniform_range(-1.0, 1.0)).collect())
             .collect();
         let windows = Matrix::from_rows(&rows);

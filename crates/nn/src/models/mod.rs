@@ -2,7 +2,7 @@
 //!
 //! All models consume *flattened windows* — `window_size * channels`
 //! values per sample, time-major (`[t0c0, t0c1, t1c0, …]`) — exactly what
-//! [`sintel_timeseries::rolling_windows`] produces, so the pipeline layer
+//! `sintel_timeseries::rolling_windows` produces, so the pipeline layer
 //! can hand data straight through.
 
 mod dense_autoencoder;

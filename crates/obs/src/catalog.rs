@@ -335,12 +335,6 @@ pub const METRICS: &[MetricDef] = &[
         help: "Orphaned temp/snapshot files removed during recovery.",
     },
     MetricDef {
-        name: "sintel_store_shard_read_blocked_total",
-        kind: MetricKind::Counter,
-        labels: &[],
-        help: "Shard reads that had to wait on a concurrent writer.",
-    },
-    MetricDef {
         name: "sintel_store_wal_append_errors_total",
         kind: MetricKind::Counter,
         labels: &[],

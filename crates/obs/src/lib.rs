@@ -11,12 +11,12 @@
 //!
 //! Three layers, all sharing the [`FieldValue`] structured-field type:
 //!
-//! * [`log`] — a leveled (`error..trace`) structured logger with
+//! * [`mod@log`] — a leveled (`error..trace`) structured logger with
 //!   `key=value` fields. The level comes from `SINTEL_LOG` (or
 //!   [`set_level`]); records go to stderr by default and to an
 //!   in-memory buffer while a test capture ([`capture_start`]) is
 //!   active.
-//! * [`span`] — nested spans timed on one monotonic clock. Opening and
+//! * [`mod@span`] — nested spans timed on one monotonic clock. Opening and
 //!   closing a span emits one [`TraceEvent`] each into the process
 //!   trace buffer (when [`tracing_start`] has been called), so a whole
 //!   benchmark run can be exported as JSON lines ([`export_jsonl`])

@@ -23,7 +23,7 @@ pub const PIPELINE_NAMES: &[&str] = &[
 /// Extension pipelines beyond the paper's six (kept out of
 /// [`available_pipelines`] so the benchmark defaults match Table 3):
 /// `matrix_profile` (the Stumpy comparator of Table 1), `holt_winters`
-/// (the HWDS forecaster of reference [37]), and
+/// (the HWDS forecaster of reference \[37\]), and
 /// `arima_shift_robust` — `arima` with the §5 change-point /
 /// decomposition preprocessing in front, used by the A4 discussion
 /// experiment.

@@ -8,7 +8,7 @@
 //!   ("segmenting signals using change point detection"), the antidote
 //!   to the Yahoo A4 distribution shift;
 //! * [`MatrixProfilePrimitive`] — a Stumpy-style discord detector;
-//! * [`HoltWintersPrimitive`] — the HWDS forecaster of reference [37].
+//! * [`HoltWintersPrimitive`] — the HWDS forecaster of reference \[37\].
 //!
 //! Because primitives are modular, each drops into existing pipelines
 //! without modifying them — the extensibility claim (C2) in action.
@@ -272,7 +272,7 @@ impl Primitive for MatrixProfilePrimitive {
 // Holt–Winters (modeling)
 // ---------------------------------------------------------------------
 
-/// Additive Holt–Winters one-step forecaster (HWDS of reference [37]).
+/// Additive Holt–Winters one-step forecaster (HWDS of reference \[37\]).
 /// `period = 0` auto-estimates the seasonality at fit time.
 #[derive(Debug)]
 pub struct HoltWintersPrimitive {

@@ -148,9 +148,8 @@ impl Primitive for LstmRegressorPrimitive {
         let model =
             self.model.as_ref().ok_or_else(|| PrimitiveError::NotFitted("lstm_regressor".into()))?;
         let windows = ctx.windows("windows")?;
-        // Batched forward: validates shapes up front, fans out across
-        // threads above the nn crate's size threshold, and returns
-        // predictions in window order (bitwise-equal to a serial loop).
+        // Batched forward: validates shapes up front and returns
+        // predictions in window order through one reused scratch.
         let preds = model.predict_batch(windows).map_err(algo)?;
         Ok(vec![("predictions".into(), Value::Series(preds))])
     }

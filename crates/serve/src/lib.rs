@@ -38,7 +38,7 @@
 //! (SA008/SA010–SA014); [`ServeEngine::open`] refuses deployments whose
 //! report has errors.
 //!
-//! With the `faulty` feature, [`fault`] adds serve-level crash points
+//! With the `faulty` feature, `fault` adds serve-level crash points
 //! (e.g. between checkpoint commit and emission) on top of the faulty
 //! primitive family and the store's WAL crash points.
 //!

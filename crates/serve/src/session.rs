@@ -220,7 +220,7 @@ impl TenantSession {
             return;
         }
         report.absorbed += 1;
-        let due = buffer.ingested % cfg.hop == 0 && buffer.len() >= cfg.min_points;
+        let due = buffer.ingested.is_multiple_of(cfg.hop) && buffer.len() >= cfg.min_points;
         if !due {
             return;
         }

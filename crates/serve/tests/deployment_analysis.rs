@@ -80,8 +80,10 @@ fn analysis_is_pure_and_deterministic() {
 
 #[test]
 fn sa008_fallback_costlier_than_primary_is_an_error() {
-    let mut cfg = ServeConfig::default();
-    cfg.fallback = template_by_name("matrix_profile").expect("hub template");
+    let cfg = ServeConfig {
+        fallback: template_by_name("matrix_profile").expect("hub template"),
+        ..ServeConfig::default()
+    };
     let specs = vec![TenantSpec::new("acme", 2, azure_template("cheap_primary"))];
     let report = analyze_deployment(&cfg, &specs);
     assert!(report.has_errors(), "{}", report.render());
@@ -127,10 +129,7 @@ fn sa008_skips_fault_injection_templates() {
 
 #[test]
 fn sa010_config_domain_errors_are_coded_and_rendered() {
-    let mut cfg = ServeConfig::default();
-    cfg.window = 0;
-    cfg.hop = 0;
-    cfg.queue_capacity = 0;
+    let cfg = ServeConfig { window: 0, hop: 0, queue_capacity: 0, ..ServeConfig::default() };
     let report = analyze_deployment(&cfg, &[]);
     let rendered = report.render();
     assert!(rendered.contains("error[SA010]: window must be > 0"), "{rendered}");
@@ -182,14 +181,16 @@ fn sa011_reserved_and_duplicate_tenant_names() {
 
 #[test]
 fn sa012_fallback_that_cannot_fit_the_window_is_an_error() {
-    let mut cfg = ServeConfig::default();
-    cfg.window = 32;
-    cfg.min_points = 16;
     // The deep hub template's rolling windows need 51 samples; inside a
     // 32-sample serve window its own shape analysis proves the output
     // statically empty (SA007), which SA012 surfaces at the deployment
     // level.
-    cfg.fallback = template_by_name("lstm_dynamic_threshold").expect("hub template");
+    let cfg = ServeConfig {
+        window: 32,
+        min_points: 16,
+        fallback: template_by_name("lstm_dynamic_threshold").expect("hub template"),
+        ..ServeConfig::default()
+    };
     let report = analyze_deployment(&cfg, &[]);
     assert!(report.has_errors(), "{}", report.render());
     let rendered = report.render();
@@ -228,8 +229,7 @@ fn sa012_fallback_above_min_points_is_a_warning() {
 
 #[test]
 fn sa013_zero_high_water_with_sheddable_tenants_is_an_error() {
-    let mut cfg = ServeConfig::default();
-    cfg.high_water = 0;
+    let cfg = ServeConfig { high_water: 0, ..ServeConfig::default() };
     let specs = vec![TenantSpec::new("acme", 0, azure_template("p"))];
     let report = analyze_deployment(&cfg, &specs);
     let rendered = report.render();
@@ -244,9 +244,7 @@ fn sa013_zero_high_water_with_sheddable_tenants_is_an_error() {
 
 #[test]
 fn sa013_unreachable_high_water_is_a_warning() {
-    let mut cfg = ServeConfig::default();
-    cfg.queue_capacity = 16;
-    cfg.high_water = 1_000_000;
+    let cfg = ServeConfig { queue_capacity: 16, high_water: 1_000_000, ..ServeConfig::default() };
     let specs = vec![TenantSpec::new("acme", 0, azure_template("p"))];
     let report = analyze_deployment(&cfg, &specs);
     let rendered = report.render();
@@ -265,8 +263,7 @@ fn sa013_no_sheddable_tenant_is_clean() {
     // Every tenant at or above the floor: nothing can be shed, and
     // `Retry` backpressure bounds the queues, so there is nothing to
     // warn about however high the high-water mark sits.
-    let mut cfg = ServeConfig::default();
-    cfg.high_water = 100;
+    let cfg = ServeConfig { high_water: 100, ..ServeConfig::default() };
     let specs = vec![TenantSpec::new("acme", 5, azure_template("p"))];
     let rendered = analyze_deployment(&cfg, &specs).render();
     assert!(!rendered.contains("SA013"), "{rendered}");
@@ -328,8 +325,7 @@ fn open_with_default_config_and_all_protected_roster_logs_no_warning() {
 
 #[test]
 fn sa014_cooldown_at_pass_clock_ceiling_is_an_error() {
-    let mut cfg = ServeConfig::default();
-    cfg.breaker_cooldown = u64::MAX;
+    let cfg = ServeConfig { breaker_cooldown: u64::MAX, ..ServeConfig::default() };
     let report = analyze_deployment(&cfg, &[]);
     let rendered = report.render();
     assert!(rendered.contains("error[SA014]"), "{rendered}");

@@ -7,12 +7,16 @@ use sintel_common::json::{to_json, Doc};
 use crate::query::Filter;
 use crate::{Result, StoreError};
 
-/// A collection of documents keyed by `_id`. Ids are allocated by the
-/// owning [`crate::Database`]; optional secondary indexes accelerate
-/// equality filters on a field.
+/// A collection of documents keyed by `_id`, with optional secondary
+/// indexes that accelerate equality filters on a field. The collection
+/// is its own id allocator: an insert gets one past the highest id ever
+/// stored here, so ids of deleted documents are not handed out again
+/// while the collection lives.
 #[derive(Debug, Clone, Default)]
 pub struct Collection {
     docs: BTreeMap<u64, Doc>,
+    /// Highest id ever put (0 when none).
+    last_id: u64,
     /// field -> (serialised key -> ids)
     indexes: HashMap<String, HashMap<String, Vec<u64>>>,
 }
@@ -42,10 +46,16 @@ impl Collection {
         self.docs.get(&id)
     }
 
+    /// The id the next insert should use.
+    pub(crate) fn next_id(&self) -> u64 {
+        self.last_id + 1
+    }
+
     /// Insert or replace the document stored under `id`, stamping its
     /// `_id`. A replaced document's index entries are removed before the
     /// new one is indexed.
     pub fn put(&mut self, id: u64, mut doc: Doc) {
+        self.last_id = self.last_id.max(id);
         if doc.get("_id").and_then(Doc::as_i64) != Some(id as i64) {
             doc.set("_id", id);
         }

@@ -1,21 +1,18 @@
-//! The database: collections sharded across per-shard locks, durably
+//! The database: named collections in one map under one lock, durably
 //! persisted through a checksummed write-ahead log plus JSONL snapshots.
 //!
 //! ## Concurrency
 //!
-//! Documents are distributed over [`NUM_SHARDS`] shards by
-//! [`shard_of`]`(collection, id)` — a deterministic FNV-1a hash, never
-//! `RandomState`, so the same document lands on the same shard in every
-//! process. Each shard holds its slice of every collection behind its
-//! own `RwLock`, so a writer touching one shard never blocks readers of
-//! the other fifteen; readers first `try_read` and count the rare
-//! conflict in `sintel_store_shard_read_blocked_total` before waiting.
+//! Every collection lives in one `RwLock<HashMap<String, Collection>>`:
+//! reads share it, a write holds it exclusively for one in-memory
+//! mutation. Each [`Collection`] owns its id allocator and its indexes,
+//! so there is no other collection-level state to keep in step.
 //!
 //! ## Durability
 //!
-//! Mutations apply to memory first (under one shard's write lock), then
-//! are logged to the WAL ([`crate::wal`]) — individually, or as one
-//! record per [`Database::batch`] scope. [`Database::save`] doubles as
+//! Mutations apply to memory first (under the collections write lock),
+//! then are logged to the WAL ([`crate::wal`]) — individually, or as
+//! one record per [`Database::batch`] scope. [`Database::save`] doubles as
 //! *compaction*: it writes one `<collection>.jsonl` snapshot per
 //! collection (temp file + `sync_all` + rename + directory `fsync`) and
 //! then truncates the log; the log also auto-compacts once it crosses
@@ -33,7 +30,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use sintel_common::json::{from_json, to_json, Doc};
@@ -46,23 +43,8 @@ use crate::{Result, StoreError};
 /// Log target for store observability events.
 const TARGET: &str = "sintel::store";
 
-/// Number of lock shards collections are hashed across.
-pub const NUM_SHARDS: usize = 16;
-
 fn io_err(e: impl std::fmt::Display) -> StoreError {
     StoreError::Io(e.to_string())
-}
-
-/// Shard index for a document: FNV-1a 64 over the collection name and
-/// the little-endian id bytes. Deterministic across processes and runs
-/// (the persisted layout and the tests depend on that).
-pub fn shard_of(collection: &str, id: u64) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in collection.bytes().chain(id.to_le_bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % NUM_SHARDS as u64) as usize
 }
 
 /// How eagerly committed writes reach the disk.
@@ -153,13 +135,13 @@ struct PendingBatch {
 
 /// An embedded multi-collection document database.
 ///
-/// Thread-safe: collections are sharded across [`NUM_SHARDS`] locks so
-/// readers and writers of different shards proceed in parallel. When
-/// opened with a directory path, every mutation is logged to a
-/// checksummed write-ahead log and [`Database::save`] compacts the log
-/// into one `<collection>.jsonl` snapshot per collection;
-/// [`Database::open`] replays log over snapshots, repairing crash
-/// debris (see [`RecoveryReport`]).
+/// Thread-safe: the collections sit in one map behind one `RwLock`, so
+/// readers run together and each write is serialised. When opened with
+/// a directory path, every mutation is logged to a checksummed
+/// write-ahead log and [`Database::save`] compacts the log into one
+/// `<collection>.jsonl` snapshot per collection; [`Database::open`]
+/// replays log over snapshots, repairing crash debris (see
+/// [`RecoveryReport`]).
 ///
 /// ```
 /// use sintel_store::{Database, Doc, Filter};
@@ -171,13 +153,9 @@ struct PendingBatch {
 /// # Ok::<(), sintel_store::StoreError>(())
 /// ```
 pub struct Database {
-    /// `shard -> collection name -> that shard's slice of the collection`.
-    shards: [RwLock<HashMap<String, Collection>>; NUM_SHARDS],
-    /// Global per-collection id allocator: the next id to hand out.
-    ids: Mutex<HashMap<String, u64>>,
-    /// Index registry: collection -> indexed fields. New shard slices
-    /// of a collection inherit these on creation.
-    indexed: Mutex<HashMap<String, Vec<String>>>,
+    /// Collection name -> collection (its documents, indexes and id
+    /// allocator).
+    collections: RwLock<HashMap<String, Collection>>,
     /// The write-ahead log; `None` for in-memory and snapshot-only DBs.
     wal: Mutex<Option<Wal>>,
     /// Open batch scope, if any.
@@ -191,27 +169,12 @@ impl Database {
     // ---- lock helpers (poisoned locks are recovered, not propagated:
     // collection state is valid after any completed mutation) ----------
 
-    fn read_shard(&self, idx: usize) -> RwLockReadGuard<'_, HashMap<String, Collection>> {
-        match self.shards[idx].try_read() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(TryLockError::WouldBlock) => {
-                sintel_obs::counter_add("sintel_store_shard_read_blocked_total", 1);
-                self.shards[idx].read().unwrap_or_else(|e| e.into_inner())
-            }
-        }
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, Collection>> {
+        self.collections.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write_shard(&self, idx: usize) -> RwLockWriteGuard<'_, HashMap<String, Collection>> {
-        self.shards[idx].write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_ids(&self) -> MutexGuard<'_, HashMap<String, u64>> {
-        self.ids.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_indexed(&self) -> MutexGuard<'_, HashMap<String, Vec<String>>> {
-        self.indexed.lock().unwrap_or_else(|e| e.into_inner())
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<String, Collection>> {
+        self.collections.write().unwrap_or_else(|e| e.into_inner())
     }
 
     fn lock_wal(&self) -> MutexGuard<'_, Option<Wal>> {
@@ -224,9 +187,7 @@ impl Database {
 
     fn empty(path: Option<PathBuf>, opts: StoreOptions) -> Self {
         Self {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            ids: Mutex::new(HashMap::new()),
-            indexed: Mutex::new(HashMap::new()),
+            collections: RwLock::new(HashMap::new()),
             wal: Mutex::new(None),
             pending: Mutex::new(None),
             path,
@@ -297,11 +258,11 @@ impl Database {
                 Ok(docs) => {
                     // Even an empty snapshot names a collection that
                     // must exist (and persist) after reopen.
-                    db.ensure_collection(&name);
+                    let mut col = Collection::new();
                     for (id, doc) in docs {
-                        db.reserve_id(&name, id);
-                        db.apply_put(&name, id, doc);
+                        col.put(id, doc);
                     }
+                    db.write().insert(name, col);
                 }
                 Err(err) => {
                     let quarantine = path.with_extension("jsonl.corrupt");
@@ -399,31 +360,22 @@ impl Database {
     }
 
     /// Write one JSONL snapshot per collection under `dir`, from a
-    /// consistent view (all shard read locks held). The caller decides
-    /// what happens to the WAL.
+    /// consistent view (the collections read lock held). The caller
+    /// decides what happens to the WAL.
     fn snapshot_all(&self, dir: &Path) -> Result<()> {
-        let shards: Vec<_> = (0..NUM_SHARDS).map(|i| self.read_shard(i)).collect();
+        let collections = self.read();
         // Every collection that ever existed gets a file — including
         // ones that are currently empty or only had an index declared —
         // so a reopened database sees the same collection set.
-        let mut names: Vec<String> =
-            shards.iter().flat_map(|shard| shard.keys().cloned()).collect();
-        names.extend(self.lock_indexed().keys().cloned());
-        names.sort();
-        names.dedup();
-        for name in &names {
+        let mut sorted: Vec<(&String, &Collection)> = collections.iter().collect();
+        sorted.sort_by_key(|(name, _)| *name);
+        for (name, col) in sorted {
             let final_path = dir.join(format!("{name}.jsonl"));
             let tmp_path = dir.join(format!(".{name}.jsonl.tmp"));
             {
                 let file = File::create(&tmp_path).map_err(io_err)?;
                 let mut out = BufWriter::new(file);
-                let mut docs: Vec<(&u64, &Doc)> = shards
-                    .iter()
-                    .filter_map(|shard| shard.get(name))
-                    .flat_map(Collection::iter)
-                    .collect();
-                docs.sort_by_key(|(id, _)| **id);
-                for (_, doc) in docs {
+                for (_, doc) in col.iter() {
                     writeln!(out, "{}", to_json(doc)).map_err(io_err)?;
                 }
                 out.flush().map_err(io_err)?;
@@ -440,50 +392,14 @@ impl Database {
 
     // ---- write path --------------------------------------------------
 
-    /// Make a collection exist (possibly empty) so `collection_names`
-    /// and snapshots keep listing it. Its home shard is `shard_of(name, 0)`.
-    fn ensure_collection(&self, name: &str) {
-        let mut shard = self.write_shard(shard_of(name, 0));
-        shard.entry(name.to_string()).or_default();
-    }
-
-    /// Make later allocations in `collection` skip past `id`.
-    fn reserve_id(&self, collection: &str, id: u64) {
-        let mut ids = self.lock_ids();
-        let next = ids.entry(collection.to_string()).or_insert(1);
-        *next = (*next).max(id + 1);
-    }
-
-    fn alloc_id(&self, collection: &str) -> u64 {
-        let mut ids = self.lock_ids();
-        let next = ids.entry(collection.to_string()).or_insert(1);
-        let id = *next;
-        *next += 1;
-        id
-    }
-
-    /// Upsert `doc` into its shard, creating the collection slice (with
-    /// every registered index) on first use.
-    fn apply_put(&self, collection: &str, id: u64, doc: Doc) {
-        let fields: Vec<String> =
-            self.lock_indexed().get(collection).cloned().unwrap_or_default();
-        let mut shard = self.write_shard(shard_of(collection, id));
-        let col = shard.entry(collection.to_string()).or_default();
-        for field in &fields {
-            col.create_index(field);
-        }
-        col.put(id, doc);
-    }
-
     fn apply_replayed(&self, op: WalOp) {
+        let mut collections = self.write();
         match op {
             WalOp::Put { collection, id, doc } => {
-                self.reserve_id(&collection, id);
-                self.apply_put(&collection, id, doc);
+                collections.entry(collection).or_default().put(id, doc);
             }
             WalOp::Delete { collection, id } => {
-                let mut shard = self.write_shard(shard_of(&collection, id));
-                if let Some(col) = shard.get_mut(&collection) {
+                if let Some(col) = collections.get_mut(&collection) {
                     // Deleting a doc the snapshot already lacks is fine:
                     // the snapshot was written after this op committed.
                     let _ = col.delete(id);
@@ -585,9 +501,14 @@ impl Database {
 
     /// Insert into a collection (created on first use); returns the new id.
     pub fn insert(&self, collection: &str, mut doc: Doc) -> Result<u64> {
-        let id = self.alloc_id(collection);
-        doc.set("_id", id);
-        self.apply_put(collection, id, doc.clone());
+        let id = {
+            let mut collections = self.write();
+            let col = collections.entry(collection.to_string()).or_default();
+            let id = col.next_id();
+            doc.set("_id", id);
+            col.put(id, doc.clone());
+            id
+        };
         self.log_op(WalOp::Put { collection: collection.to_string(), id, doc })?;
         Ok(id)
     }
@@ -596,8 +517,8 @@ impl Database {
     pub fn update(&self, collection: &str, id: u64, mut doc: Doc) -> Result<()> {
         doc.set("_id", id);
         {
-            let mut shard = self.write_shard(shard_of(collection, id));
-            let col = shard
+            let mut collections = self.write();
+            let col = collections
                 .get_mut(collection)
                 .filter(|col| col.get(id).is_some())
                 .ok_or(StoreError::NotFound(id))?;
@@ -610,8 +531,8 @@ impl Database {
     /// *post-image*, so replay needs no patch semantics.
     pub fn patch(&self, collection: &str, id: u64, fields: &[(&str, Doc)]) -> Result<()> {
         let post = {
-            let mut shard = self.write_shard(shard_of(collection, id));
-            let col = shard.get_mut(collection).ok_or(StoreError::NotFound(id))?;
+            let mut collections = self.write();
+            let col = collections.get_mut(collection).ok_or(StoreError::NotFound(id))?;
             col.patch(id, fields)?;
             col.get(id).cloned().ok_or(StoreError::NotFound(id))?
         };
@@ -620,50 +541,30 @@ impl Database {
 
     /// Delete a document.
     pub fn delete(&self, collection: &str, id: u64) -> Result<()> {
-        {
-            let mut shard = self.write_shard(shard_of(collection, id));
-            let col = shard.get_mut(collection).ok_or(StoreError::NotFound(id))?;
-            col.delete(id)?;
-        }
+        self.write().get_mut(collection).ok_or(StoreError::NotFound(id))?.delete(id)?;
         self.log_op(WalOp::Delete { collection: collection.to_string(), id })
     }
 
-    /// Create a secondary index on a collection field. Registered
-    /// globally, so shard slices created later inherit it.
+    /// Create a secondary index on a collection field, creating the
+    /// collection if it is absent: an index-only collection is listed
+    /// by [`Database::collection_names`] and persisted by a save.
     pub fn create_index(&self, collection: &str, field: &str) {
-        {
-            let mut registry = self.lock_indexed();
-            let fields = registry.entry(collection.to_string()).or_default();
-            if !fields.iter().any(|f| f == field) {
-                fields.push(field.to_string());
-            }
-        }
-        for idx in 0..NUM_SHARDS {
-            let mut shard = self.write_shard(idx);
-            if let Some(col) = shard.get_mut(collection) {
-                col.create_index(field);
-            }
-        }
+        self.write().entry(collection.to_string()).or_default().create_index(field);
     }
 
     // ---- reads -------------------------------------------------------
 
-    /// Fetch one document by id (cloned out of its shard's lock).
+    /// Fetch one document by id (cloned out of the lock).
     pub fn get(&self, collection: &str, id: u64) -> Option<Doc> {
-        self.read_shard(shard_of(collection, id)).get(collection)?.get(id).cloned()
+        self.read().get(collection)?.get(id).cloned()
     }
 
-    /// Find matching documents (cloned), in `_id` order across shards.
+    /// Find matching documents (cloned), in `_id` order.
     pub fn find(&self, collection: &str, filter: &Filter) -> Vec<Doc> {
-        let mut hits: Vec<Doc> = Vec::new();
-        for idx in 0..NUM_SHARDS {
-            let shard = self.read_shard(idx);
-            if let Some(col) = shard.get(collection) {
-                hits.extend(col.find(filter).into_iter().cloned());
-            }
-        }
-        hits.sort_by_key(|d| d.get("_id").and_then(Doc::as_i64).unwrap_or(0));
-        hits
+        self.read()
+            .get(collection)
+            .map(|col| col.find(filter).into_iter().cloned().collect())
+            .unwrap_or_default()
     }
 
     /// First match in `_id` order (cloned).
@@ -673,22 +574,14 @@ impl Database {
 
     /// Count matches.
     pub fn count(&self, collection: &str, filter: &Filter) -> usize {
-        (0..NUM_SHARDS)
-            .map(|idx| {
-                self.read_shard(idx).get(collection).map(|c| c.count(filter)).unwrap_or(0)
-            })
-            .sum()
+        self.read().get(collection).map_or(0, |col| col.count(filter))
     }
 
-    /// Names of known collections (sorted): anything a shard holds a
-    /// slice of, plus collections with only an index declared.
+    /// Names of known collections (sorted), including empty ones and
+    /// ones with only an index declared.
     pub fn collection_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = (0..NUM_SHARDS)
-            .flat_map(|idx| self.read_shard(idx).keys().cloned().collect::<Vec<_>>())
-            .collect();
-        names.extend(self.lock_indexed().keys().cloned());
+        let mut names: Vec<String> = self.read().keys().cloned().collect();
         names.sort();
-        names.dedup();
         names
     }
 }
@@ -1039,27 +932,18 @@ mod tests {
     }
 
     #[test]
-    fn index_declared_after_load_covers_all_shards() {
+    fn index_declared_after_load_covers_old_and_new_docs() {
         let db = Database::in_memory();
         for i in 0..64 {
             db.insert("events", Doc::obj().with("signal", format!("S-{}", i % 4))).unwrap();
         }
         db.create_index("events", "signal");
         assert_eq!(db.find("events", &Filter::eq("signal", "S-2")).len(), 16);
-        // New shard slices created after the index inherit it too.
+        // Documents inserted after the declaration are indexed too.
         for i in 64..128 {
             db.insert("events", Doc::obj().with("signal", format!("S-{}", i % 4))).unwrap();
         }
         assert_eq!(db.find("events", &Filter::eq("signal", "S-2")).len(), 32);
-    }
-
-    #[test]
-    fn shard_of_is_stable() {
-        // The persisted layout depends on this hash never changing.
-        assert_eq!(shard_of("events", 1), shard_of("events", 1));
-        let spread: std::collections::HashSet<usize> =
-            (0..1000).map(|id| shard_of("events", id)).collect();
-        assert!(spread.len() > NUM_SHARDS / 2, "hash must actually spread ids");
     }
 
     #[test]

@@ -13,17 +13,17 @@
 //!   ([`sintel_common::json`]);
 //! * [`query::Filter`] — MongoDB-flavoured filters (eq/ne/gt/lt/in/
 //!   exists/and/or) evaluated against documents;
-//! * [`collection::Collection`] — id-keyed document storage (ids are
-//!   allocated by the database) with secondary hash indexes used to
+//! * [`collection::Collection`] — id-keyed document storage that
+//!   allocates its own ids, with secondary hash indexes used to
 //!   accelerate equality filters;
 //! * [`wal`] — an append-only, CRC32-checksummed write-ahead log with
 //!   torn-tail recovery and (behind the `faulty` feature) crash-point
 //!   fault injection;
-//! * [`db::Database`] — collections sharded across per-shard locks
-//!   ([`db::NUM_SHARDS`]), every mutation logged to the WAL and
-//!   compacted into JSONL snapshots; [`db::Database::open`] replays the
-//!   log over the snapshots and repairs crash debris deterministically
-//!   (see [`db::RecoveryReport`]);
+//! * [`db::Database`] — named collections in one map under one
+//!   `RwLock`, every mutation logged to the WAL and compacted into
+//!   JSONL snapshots; [`db::Database::open`] replays the log over the
+//!   snapshots and repairs crash debris deterministically (see
+//!   [`db::RecoveryReport`]);
 //! * [`schema`] — the Sintel entity schema of Figure 6 (datasets,
 //!   signals, templates, pipelines, experiments, signalruns, events,
 //!   annotations, users) as typed helpers over the generic layers.
@@ -42,9 +42,7 @@ pub mod schema;
 pub mod wal;
 
 pub use collection::Collection;
-pub use db::{
-    shard_of, BatchScope, Database, Durability, RecoveryReport, StoreOptions, NUM_SHARDS,
-};
+pub use db::{BatchScope, Database, Durability, RecoveryReport, StoreOptions};
 pub use query::Filter;
 pub use schema::SintelDb;
 pub use sintel_common::json::Doc;

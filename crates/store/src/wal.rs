@@ -23,11 +23,11 @@
 //! fsynced in order), so truncation loses at most the one in-flight
 //! batch and never panics.
 //!
-//! Crash-point fault injection (the `faulty` feature, [`fault`]) lets
+//! Crash-point fault injection (the `faulty` feature, `fault`) lets
 //! tests simulate a crash *inside* the append/compaction path: the hook
 //! leaves the file exactly as a real crash would (partial record, full
 //! record without fsync, orphan temp file) and surfaces
-//! [`StoreError::Injected`] so the harness can drop the handle and
+//! `StoreError::Injected` so the harness can drop the handle and
 //! re-open from disk.
 
 use std::fs::{File, OpenOptions};

@@ -1,30 +1,17 @@
-//! Concurrency properties of the sharded store.
-//!
-//! 1. **Snapshot determinism** — a workload partitioned across 1, 2 and
-//!    8 worker threads (single writer per collection, fixed per-
-//!    collection op order, reads interleaved throughout) must produce
-//!    bitwise-identical post-compaction snapshot files at every thread
-//!    count: persisted bytes are a function of the logical workload,
-//!    never of scheduling.
-//! 2. **Reader isolation** — readers of one shard never block on a
-//!    writer hammering a different shard, asserted through the
-//!    `sintel_store_shard_read_blocked_total` counter.
+//! Concurrency property of the store: snapshot determinism. A workload
+//! partitioned across 1, 2 and 8 worker threads (single writer per
+//! collection, fixed per-collection op order, reads interleaved
+//! throughout) must produce bitwise-identical post-compaction snapshot
+//! files at every thread count: persisted bytes are a function of the
+//! logical workload, never of scheduling.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use sintel_common::check::{forall, shrinks, Config};
 use sintel_common::SintelRng;
-use sintel_store::{shard_of, Database, Doc, Filter};
-
-/// The blocked-reader counter is process-global; keep the two tests in
-/// this binary from polluting each other's readings.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
+use sintel_store::{Database, Doc, Filter};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -100,7 +87,6 @@ fn run_workload(spec: &Workload, threads: usize, dir: &Path) -> BTreeMap<String,
 
 #[test]
 fn snapshot_bytes_identical_at_1_2_8_threads() {
-    let _guard = serial();
     let cfg = Config::default().cases(10).seed(0x5AFE_BEEF);
     forall(
         "post-compaction snapshots are thread-count-invariant",
@@ -139,62 +125,5 @@ fn snapshot_bytes_identical_at_1_2_8_threads() {
             }
             Ok(())
         },
-    );
-}
-
-#[test]
-fn readers_never_block_on_a_writer_to_another_shard() {
-    let _guard = serial();
-    let db = Arc::new(Database::in_memory());
-
-    // The writer hammers exactly one document — one shard.
-    let writer_id = db.insert("w", Doc::obj().with("v", 0i64)).expect("insert");
-    let writer_shard = shard_of("w", writer_id);
-
-    // Readers get ids proven (via the public hash) to live on other
-    // shards, so the writer's exclusive lock is never in their way.
-    let mut reader_ids = Vec::new();
-    for _ in 0..64 {
-        let id = db.insert("r", Doc::obj().with("v", 1i64)).expect("insert");
-        if shard_of("r", id) != writer_shard {
-            reader_ids.push(id);
-        }
-    }
-    assert!(reader_ids.len() > 32, "hash should spread ids off one shard");
-    let reader_ids = Arc::new(reader_ids);
-
-    let counter = "sintel_store_shard_read_blocked_total";
-    let before = sintel_obs::global().snapshot().counter(counter).unwrap_or(0);
-
-    let writer = {
-        let db = Arc::clone(&db);
-        std::thread::spawn(move || {
-            for i in 0..3000i64 {
-                db.update("w", writer_id, Doc::obj().with("v", i)).expect("update");
-            }
-        })
-    };
-    let readers: Vec<_> = (0..4)
-        .map(|t| {
-            let db = Arc::clone(&db);
-            let ids = Arc::clone(&reader_ids);
-            std::thread::spawn(move || {
-                for i in 0..3000usize {
-                    let id = ids[(i + t) % ids.len()];
-                    assert!(db.get("r", id).is_some());
-                }
-            })
-        })
-        .collect();
-    writer.join().expect("writer");
-    for r in readers {
-        r.join().expect("reader");
-    }
-
-    let after = sintel_obs::global().snapshot().counter(counter).unwrap_or(0);
-    assert_eq!(
-        after - before,
-        0,
-        "readers of disjoint shards must never wait on the writer lock"
     );
 }

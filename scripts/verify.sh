@@ -13,7 +13,7 @@ cargo build --release
 # `cargo test -q` is the whole workspace. The gate also fails if the
 # number of passing tests drops below this floor: a suite must never
 # shrink quietly.
-TEST_FLOOR=782
+TEST_FLOOR=783
 
 # Run `cargo test -q` with the given environment, echo its output and
 # fail unless at least TEST_FLOOR tests passed.
@@ -120,6 +120,16 @@ echo "==> cargo clippy (crate-scoped denies: linalg indexing + range loops, nn r
 cargo clippy -q -p sintel-linalg --all-targets
 cargo clippy -q -p sintel-nn --lib
 cargo clippy -q -p sintel-metrics --lib
+
+# The store, the serving tier and the observability substrate are
+# clippy-clean on every target, tests included; keep them so.
+echo "==> cargo clippy (store, serve, obs: all targets, warnings denied)"
+cargo clippy -q -p sintel-store -p sintel-serve -p sintel-obs --all-targets -- -D warnings
+
+# The API docs must build without a warning: no broken, ambiguous or
+# private intra-doc links.
+echo "==> cargo doc --workspace --no-deps (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 # Static analysis gate: every hub and extension pipeline must produce
 # zero error diagnostics (SA000-SA009) under `sintel-cli analyze`.
