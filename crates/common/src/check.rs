@@ -84,14 +84,7 @@ where
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prop(value))) {
         Ok(r) => r,
         Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "property panicked with an opaque payload".to_string()
-            };
-            Err(format!("property panicked: {msg}"))
+            Err(format!("property panicked: {}", crate::panic_message(payload.as_ref())))
         }
     }
 }

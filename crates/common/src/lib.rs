@@ -25,5 +25,5 @@ pub mod rng;
 
 pub use cancel::{cancelled, with_cancel_token, CancelToken};
 pub use numeric::{argmax, argmin, ewma, mean, median, quantile, stddev, variance};
-pub use par::{configured_threads, par_map, par_try_map, set_threads, TaskPanic};
+pub use par::{configured_threads, panic_message, par_map, par_try_map, set_threads, TaskPanic};
 pub use rng::SintelRng;

@@ -84,7 +84,10 @@ impl std::fmt::Display for TaskPanic {
     }
 }
 
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// A panic payload rendered as a message: `&str` and `String` payloads
+/// verbatim, anything else a placeholder. Pass the payload itself
+/// (`payload.as_ref()`), not a reference to its `Box`.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -108,7 +111,7 @@ where
 {
     let run_one = |i: usize| -> Result<T, TaskPanic> {
         catch_unwind(AssertUnwindSafe(|| f(i)))
-            .map_err(|p| TaskPanic { index: i, message: payload_message(p.as_ref()) })
+            .map_err(|p| TaskPanic { index: i, message: panic_message(p.as_ref()) })
     };
     let workers = configured_threads().min(n);
     if workers <= 1 {
@@ -158,15 +161,6 @@ where
         .into_iter()
         .map(|r| r.unwrap_or_else(|p| resume_unwind(Box::new(p.message))))
         .collect()
-}
-
-/// Partition `0..n` into contiguous blocks of at most `block` items.
-/// The partition depends only on `(n, block)` — never on the thread
-/// count — so block-parallel kernels decompose identically on every
-/// machine and worker budget.
-pub fn block_ranges(n: usize, block: usize) -> Vec<std::ops::Range<usize>> {
-    let block = block.max(1);
-    (0..n.div_ceil(block)).map(|b| (b * block)..((b + 1) * block).min(n)).collect()
 }
 
 #[cfg(test)]
@@ -234,7 +228,7 @@ mod tests {
         }));
         set_threads(None);
         let payload = caught.unwrap_err();
-        let message = payload_message(payload.as_ref());
+        let message = panic_message(payload.as_ref());
         assert!(message.contains("first failure is 5"), "{message}");
     }
 
@@ -256,20 +250,6 @@ mod tests {
         assert!(par_map(0, |i| i).is_empty());
         assert_eq!(par_map(1, |i| i + 41), vec![41]);
         set_threads(None);
-    }
-
-    #[test]
-    fn block_ranges_cover_exactly_once_independent_of_threads() {
-        for (n, block) in [(0, 4), (1, 4), (7, 3), (12, 4), (13, 4), (100, 16)] {
-            let ranges = block_ranges(n, block);
-            let mut covered = Vec::new();
-            for r in &ranges {
-                assert!(r.len() <= block.max(1));
-                covered.extend(r.clone());
-            }
-            assert_eq!(covered, (0..n).collect::<Vec<_>>(), "n={n} block={block}");
-        }
-        assert_eq!(block_ranges(5, 0), block_ranges(5, 1), "block clamps to 1");
     }
 
     #[test]

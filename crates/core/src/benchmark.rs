@@ -23,9 +23,7 @@ use sintel_store::schema::collections as schema_collections;
 use sintel_store::{Doc, SintelDb};
 use sintel_timeseries::Interval;
 
-use crate::policy::{
-    classify_pipeline_error, run_with_policy, Failure, FailureBreakdown, FailureKind, RunPolicy,
-};
+use crate::policy::{run_with_policy, Failure, FailureBreakdown, FailureKind, RunPolicy};
 use crate::sintel::score;
 use crate::{alloc, Result};
 
@@ -415,14 +413,10 @@ pub fn benchmark_report_with_db(
                 ],
                 Some(row_span_id),
             );
-            let mut pipeline = task_template
-                .build_default()
-                .map_err(|e| Failure::new(FailureKind::Build, e.to_string()))?;
-            let anomalies = pipeline
-                .fit_detect(&task_signal, &task_signal)
-                .map_err(|e| Failure::new(classify_pipeline_error(&e), e.to_string()))?;
+            let mut pipeline = task_template.build_default()?;
+            let anomalies = pipeline.fit_detect(&task_signal, &task_signal)?;
             let profile = pipeline.profile().clone();
-            Ok((anomalies, profile))
+            Ok::<_, Failure>((anomalies, profile))
         };
         let (result, attempts) = run_with_policy(&cfg.policy, attempt);
         let scored = result.map(|(anomalies, prof)| {

@@ -8,10 +8,7 @@ use sintel_store::SintelDb;
 use sintel_timeseries::{Interval, ScoredInterval, Signal};
 
 use crate::benchmark::MetricKind;
-use crate::policy::{
-    classify_pipeline_error, run_guarded, run_with_policy, Failure, FailureKind, GuardedResult,
-    RunPolicy,
-};
+use crate::policy::{run_guarded, run_with_policy, Failure, RunPolicy};
 use crate::tune::{self, TuneReport, TuneSetting};
 use crate::{Result, SintelError};
 
@@ -122,13 +119,9 @@ impl Sintel {
                     ("signal", FieldValue::from(data.name())),
                 ],
             );
-            let mut pipeline = template
-                .build(&lambda)
-                .map_err(|e| Failure::new(FailureKind::Build, e.to_string()))?;
-            pipeline
-                .fit(&data)
-                .map_err(|e| Failure::new(classify_pipeline_error(&e), e.to_string()))?;
-            Ok(pipeline)
+            let mut pipeline = template.build(&lambda)?;
+            pipeline.fit(&data)?;
+            Ok::<_, Failure>(pipeline)
         };
         let (result, _attempts) = run_with_policy(&self.policy, attempt);
         match result {
@@ -149,10 +142,12 @@ impl Sintel {
     /// failure the orchestrator holds a fresh *unfitted* pipeline —
     /// call [`Sintel::fit`] again before the next detection.
     pub fn detect(&mut self, data: &Signal) -> Result<Vec<ScoredInterval>> {
-        let placeholder = self.template.build(&self.lambda)?;
-        let fitted = std::mem::replace(&mut self.pipeline, placeholder);
-        let data_owned = data.clone();
         let pipeline_name = self.pipeline_name().to_string();
+        // The fitted pipeline moves onto the watchdog worker; a
+        // step-less stand-in holds its place until it comes back.
+        let stand_in = Pipeline::new(&pipeline_name, Vec::new());
+        let fitted = std::mem::replace(&mut self.pipeline, stand_in);
+        let data_owned = data.clone();
         let outcome = run_guarded(self.policy.timeout, move || {
             let _span = sintel_obs::span_with(
                 "sintel.detect",
@@ -165,24 +160,15 @@ impl Sintel {
             let result = pipeline.detect(&data_owned);
             (pipeline, result)
         });
-        let anomalies = match outcome {
-            GuardedResult::Done((pipeline, result)) => {
-                self.pipeline = pipeline;
-                result?
-            }
-            GuardedResult::Panicked(message) => {
-                return Err(SintelError::Pipeline(format!("primitive panicked: {message}")))
-            }
-            GuardedResult::TimedOut => {
-                return Err(SintelError::Pipeline(format!(
-                    "detection exceeded the {:?} run budget",
-                    self.policy.timeout
-                )))
-            }
-            GuardedResult::WorkerStartFailed(message) => {
-                return Err(SintelError::Pipeline(message))
+        let (pipeline, result) = match outcome {
+            Ok(done) => done,
+            Err(failure) => {
+                self.pipeline = self.template.build(&self.lambda)?;
+                return Err(SintelError::Pipeline(failure.to_string()));
             }
         };
+        self.pipeline = pipeline;
+        let anomalies = result?;
         if let Some(db) = &self.db {
             self.signalrun_counter += 1;
             let run = db.add_signalrun(self.signalrun_counter, data.name(), "done")?;

@@ -16,7 +16,7 @@ use sintel_primitives::{HyperRange, HyperSpec, HyperValue};
 use sintel_timeseries::{Interval, Signal};
 use sintel_tuner::{DimSpec, DimValue, GpTuner, Space, Tuner};
 
-use crate::policy::{run_guarded, GuardedResult, RunPolicy};
+use crate::policy::{run_guarded, RunPolicy};
 use crate::{Result, SintelError};
 
 /// Log target of the tuner bridge.
@@ -132,14 +132,8 @@ fn evaluate_lambda_guarded(
     let lambda = lambda.to_vec();
     let data = data.clone();
     let setting = setting.clone();
-    match run_guarded(policy.timeout, move || {
-        evaluate_lambda(&template, &lambda, &data, &setting)
-    }) {
-        GuardedResult::Done(score) => score,
-        GuardedResult::Panicked(_)
-        | GuardedResult::TimedOut
-        | GuardedResult::WorkerStartFailed(_) => f64::NEG_INFINITY,
-    }
+    run_guarded(policy.timeout, move || evaluate_lambda(&template, &lambda, &data, &setting))
+        .unwrap_or(f64::NEG_INFINITY)
 }
 
 /// Search the template's joint tunable space with the GP tuner.

@@ -10,10 +10,12 @@ use sintel::benchmark::{
     benchmark, benchmark_with_db, render_table, BenchmarkConfig, MetricKind,
 };
 use sintel::policy::RunPolicy;
+use sintel::{Sintel, SintelError};
 use sintel_datasets::{DatasetConfig, DatasetId};
 use sintel_pipeline::{StepSpec, Template};
 use sintel_primitives::HyperValue;
 use sintel_store::SintelDb;
+use sintel_timeseries::Signal;
 
 fn data_config() -> DatasetConfig {
     DatasetConfig { seed: 42, signal_scale: 0.05, length_scale: 0.08 }
@@ -151,4 +153,38 @@ fn repeat_offenders_are_quarantined_on_the_next_sweep() {
     let second_healthy = second.iter().find(|r| r.pipeline == "arima").unwrap();
     assert_eq!(second_healthy.quarantined, 0);
     assert!(second_healthy.signals > 0);
+}
+
+/// A detection that outruns the watchdog fails without taking the
+/// caller down and leaves the handle unfitted; refitting recovers it.
+#[test]
+fn failed_detection_leaves_an_unfitted_handle_that_refits() {
+    // 10 ms per row: a 10-row training signal fits in ~0.1 s, a 500-row
+    // detection signal would need ~5 s against a 1.5 s budget.
+    let template = Template {
+        name: "slow_detect".into(),
+        steps: vec![
+            StepSpec::with("faulty_slow", &[("ms_per_row", HyperValue::Int(10))]),
+            StepSpec::plain("find_anomalies"),
+        ],
+    };
+    let signal = |name: &str, n: usize| {
+        Signal::from_values(name, (0..n).map(|t| (t as f64 / 3.0).sin()).collect())
+    };
+    let (short, long) = (signal("short", 10), signal("long", 500));
+    let mut sintel = Sintel::from_template(template)
+        .expect("template builds")
+        .with_policy(RunPolicy::single_attempt(Duration::from_millis(1_500)));
+
+    sintel.fit(&short).expect("a short signal fits within the budget");
+    match sintel.detect(&long) {
+        Err(SintelError::Pipeline(m)) => assert!(m.starts_with("timeout: "), "{m}"),
+        other => panic!("expected a timed-out detection, got {other:?}"),
+    }
+    match sintel.detect(&short) {
+        Err(SintelError::Pipeline(m)) => assert!(m.contains("is not fitted"), "{m}"),
+        other => panic!("expected a not-fitted error, got {other:?}"),
+    }
+    sintel.fit(&short).expect("refit");
+    sintel.detect(&short).expect("a refitted handle detects again");
 }

@@ -35,8 +35,7 @@ pub mod template;
 pub use hub::{available_pipelines, build_pipeline, template_by_name};
 pub use pipeline::Pipeline;
 pub use policy::{
-    classify_pipeline_error, run_guarded, run_with_policy, Failure, FailureBreakdown,
-    FailureKind, GuardedResult, RunPolicy,
+    run_guarded, run_with_policy, Failure, FailureBreakdown, FailureKind, RunPolicy,
 };
 pub use profile::{PipelineProfile, StepProfile};
 pub use template::{ParamId, StepSpec, Template};

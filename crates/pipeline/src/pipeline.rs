@@ -10,17 +10,6 @@ use sintel_timeseries::{ScoredInterval, Signal};
 use crate::profile::{PipelineProfile, StepProfile};
 use crate::{PipelineError, Result};
 
-/// Best-effort extraction of a panic payload into a printable message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// Contract sanitizer (cargo feature `sanitizer`): every slot the
 /// primitive actually read during `phase` must be declared — with the
 /// matching phase flag — in its static contract.
@@ -172,7 +161,7 @@ impl Pipeline {
                 catch_unwind(AssertUnwindSafe(|| step.fit(&ctx)))
                     .map_err(|payload| PipelineError::PrimitivePanic {
                         step: meta_name.clone(),
-                        message: panic_message(payload),
+                        message: sintel_common::panic_message(payload.as_ref()),
                     })?
                     .map_err(|e| PipelineError::Step {
                         step: meta_name.clone(),
@@ -201,7 +190,7 @@ impl Pipeline {
             }))
                 .map_err(|payload| PipelineError::PrimitivePanic {
                     step: meta_name.clone(),
-                    message: panic_message(payload),
+                    message: sintel_common::panic_message(payload.as_ref()),
                 })?
                 .map_err(|e| PipelineError::Step {
                     step: meta_name.clone(),

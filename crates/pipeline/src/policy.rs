@@ -13,7 +13,7 @@
 //!   are contained, and a run that exceeds the budget is abandoned and
 //!   reported as a timeout. Workers are long-lived threads reused
 //!   across attempts; one is started only when none is idle, and a
-//!   worker that cannot be started is its own outcome, not a timeout.
+//!   worker that cannot be started is an `Other` failure, not a timeout.
 //!   The abandoned worker is *cooperatively cancelled* and retired: a
 //!   [`sintel_common::CancelToken`] is installed for each attempt and
 //!   tripped at timeout, and primitive hot loops (LSTM epochs, ARIMA
@@ -21,9 +21,11 @@
 //!   the thread actually winds down instead of leaking until process
 //!   exit;
 //! * [`run_with_policy`] — retry loop over [`run_guarded`];
-//! * [`FailureKind`] / [`FailureBreakdown`] — the typed failure
-//!   taxonomy replacing anonymous failure counters, so benchmark rows
-//!   can report *why* signals failed, not just how many.
+//! * [`Failure`] / [`FailureKind`] / [`FailureBreakdown`] — the typed
+//!   failure taxonomy replacing anonymous failure counters, so benchmark
+//!   rows can report *why* signals failed, not just how many. A guarded
+//!   run fails with a [`Failure`], and a [`PipelineError`] converts into
+//!   one with `?`.
 //!
 //! This module lives in `sintel-pipeline` (it classifies
 //! [`PipelineError`]s and guards pipeline executions) and is re-exported
@@ -136,20 +138,24 @@ impl std::fmt::Display for Failure {
     }
 }
 
-/// Classify a pipeline error into the failure taxonomy.
-pub fn classify_pipeline_error(e: &PipelineError) -> FailureKind {
-    match e {
-        PipelineError::UnknownPipeline(_) | PipelineError::BadTemplate { .. } => {
-            FailureKind::Build
-        }
-        PipelineError::PrimitivePanic { .. } => FailureKind::Panic,
-        PipelineError::NonFinite { .. } => FailureKind::NonFinite,
-        PipelineError::Step { .. } | PipelineError::NotFitted(_) => FailureKind::Other,
-        // A sanitizer finding is a defect in the primitive's declaration,
-        // not in the data — keep it out of the data-driven classes so
-        // breaker/degradation statistics stay meaningful under test runs.
-        #[cfg(feature = "sanitizer")]
-        PipelineError::ContractViolation { .. } => FailureKind::Other,
+/// Classify a pipeline error into the failure taxonomy, keeping its
+/// rendering as the message.
+impl From<PipelineError> for Failure {
+    fn from(e: PipelineError) -> Self {
+        let kind = match &e {
+            PipelineError::UnknownPipeline(_) | PipelineError::BadTemplate { .. } => {
+                FailureKind::Build
+            }
+            PipelineError::PrimitivePanic { .. } => FailureKind::Panic,
+            PipelineError::NonFinite { .. } => FailureKind::NonFinite,
+            PipelineError::Step { .. } | PipelineError::NotFitted(_) => FailureKind::Other,
+            // A sanitizer finding is a defect in the primitive's declaration,
+            // not in the data — keep it out of the data-driven classes so
+            // breaker/degradation statistics stay meaningful under test runs.
+            #[cfg(feature = "sanitizer")]
+            PipelineError::ContractViolation { .. } => FailureKind::Other,
+        };
+        Failure::new(kind, e.to_string())
     }
 }
 
@@ -227,32 +233,6 @@ impl std::fmt::Display for FailureBreakdown {
     }
 }
 
-/// Outcome of one guarded attempt.
-#[derive(Debug)]
-pub enum GuardedResult<T> {
-    /// The task ran to completion (it may still have returned an error).
-    Done(T),
-    /// The task panicked; the payload message is preserved.
-    Panicked(String),
-    /// The task exceeded the budget; its cancel token was tripped and
-    /// its worker retired (it winds down at the next cancellation poll
-    /// in a primitive hot loop).
-    TimedOut,
-    /// No watchdog worker was idle and a new one could not be started;
-    /// the task never ran. Carries the operating system's error text.
-    WorkerStartFailed(String),
-}
-
-fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// One attempt, type-erased for a pooled worker: it catches its own
 /// unwind and sends its outcome back to the waiting [`run_guarded`].
 type Job = Box<dyn FnOnce() + Send>;
@@ -275,22 +255,24 @@ fn idle_workers() -> MutexGuard<'static, Vec<Worker>> {
     IDLE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Start one watchdog worker thread. Its join handle is dropped: the
-/// worker runs until its channel closes, and every job catches its own
-/// panic, so there is no result to join.
-fn start_worker() -> std::io::Result<Worker> {
+/// Start one watchdog worker thread from `builder`. Its join handle is
+/// dropped: the worker runs until its channel closes, and every job
+/// catches its own panic, so there is no result to join. A thread that
+/// cannot be started is an `Other` failure carrying the operating
+/// system's error — never a timeout, which would move a healthy serve
+/// tenant onto its fallback template.
+fn start_worker(builder: std::thread::Builder) -> Result<Worker, Failure> {
     let (jobs, inbox) = mpsc::channel::<(Job, CancelToken)>();
-    std::thread::Builder::new().name("sintel-watchdog".to_string()).spawn(move || {
-        for (job, token) in inbox {
-            sintel_common::with_cancel_token(token, job);
-        }
-    })?;
+    builder
+        .spawn(move || {
+            for (job, token) in inbox {
+                sintel_common::with_cancel_token(token, job);
+            }
+        })
+        .map_err(|e| {
+            Failure::new(FailureKind::Other, format!("could not start a watchdog worker: {e}"))
+        })?;
     Ok(Worker { jobs })
-}
-
-/// The outcome of an attempt whose worker could not be started.
-fn worker_start_failed<T>(err: &std::io::Error) -> GuardedResult<T> {
-    GuardedResult::WorkerStartFailed(format!("could not start a watchdog worker: {err}"))
 }
 
 /// Run one attempt on a pooled watchdog worker with a wall-clock budget.
@@ -298,14 +280,14 @@ fn worker_start_failed<T>(err: &std::io::Error) -> GuardedResult<T> {
 /// The task runs on an idle long-lived worker thread (one is started
 /// only when none is idle); this call blocks at most `timeout`. If the
 /// task finishes in time its value is returned and the worker goes back
-/// on the idle list; if it panics the unwind is contained. If it hangs,
-/// the attempt reports [`GuardedResult::TimedOut`], the task's
-/// [`CancelToken`] is tripped and the worker is retired: Rust threads
-/// cannot be killed, but primitive hot loops poll
-/// [`sintel_common::cancelled`] and abandon their work, so the worker
-/// exits shortly after instead of leaking until the task finishes
-/// naturally (or the process exits).
-pub fn run_guarded<T, F>(timeout: Duration, task: F) -> GuardedResult<T>
+/// on the idle list; if it panics the unwind is contained as a
+/// [`FailureKind::Panic`]. If it hangs, the attempt fails as a
+/// [`FailureKind::Timeout`], the task's [`CancelToken`] is tripped and
+/// the worker is retired: Rust threads cannot be killed, but primitive
+/// hot loops poll [`sintel_common::cancelled`] and abandon their work,
+/// so the worker exits shortly after instead of leaking until the task
+/// finishes naturally (or the process exits).
+pub fn run_guarded<T, F>(timeout: Duration, task: F) -> Result<T, Failure>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
@@ -322,10 +304,7 @@ where
         let pooled = idle_workers().pop();
         let worker = match pooled {
             Some(worker) => worker,
-            None => match start_worker() {
-                Ok(worker) => worker,
-                Err(e) => return worker_start_failed(&e),
-            },
+            None => start_worker(std::thread::Builder::new().name("sintel-watchdog".to_string()))?,
         };
         match worker.jobs.send(message) {
             Ok(()) => break worker,
@@ -336,34 +315,17 @@ where
     match rx.recv_timeout(timeout) {
         Ok(outcome) => {
             idle_workers().push(worker);
-            match outcome {
-                Ok(value) => GuardedResult::Done(value),
-                Err(payload) => GuardedResult::Panicked(panic_payload_message(payload)),
-            }
+            outcome.map_err(|payload| {
+                Failure::new(FailureKind::Panic, sintel_common::panic_message(payload.as_ref()))
+            })
         }
         Err(_) => {
             token.cancel();
             // Dropping the job channel retires the worker: it exits
             // once the abandoned job unwinds.
             drop(worker);
-            GuardedResult::TimedOut
-        }
-    }
-}
-
-/// The policy's reading of one guarded attempt: the task's own result,
-/// or the failure the watchdog observed.
-fn attempt_result<T>(
-    outcome: GuardedResult<std::result::Result<T, Failure>>,
-    timeout: Duration,
-) -> std::result::Result<T, Failure> {
-    match outcome {
-        GuardedResult::Done(result) => result,
-        GuardedResult::Panicked(message) => Err(Failure::new(FailureKind::Panic, message)),
-        GuardedResult::TimedOut => {
             Err(Failure::new(FailureKind::Timeout, format!("exceeded the {timeout:?} run budget")))
         }
-        GuardedResult::WorkerStartFailed(message) => Err(Failure::new(FailureKind::Other, message)),
     }
 }
 
@@ -405,8 +367,7 @@ where
         }
         attempts += 1;
         sintel_obs::counter_add("sintel_run_attempts_total", 1);
-        let outcome = run_guarded(policy.timeout, attempt.clone());
-        let failure = match attempt_result(outcome, policy.timeout) {
+        let failure = match run_guarded(policy.timeout, attempt.clone()).and_then(|r| r) {
             Ok(value) => return (Ok(value), attempts),
             Err(failure) => failure,
         };
@@ -434,18 +395,15 @@ mod tests {
 
     #[test]
     fn guarded_run_returns_value() {
-        match run_guarded(Duration::from_secs(5), || 41 + 1) {
-            GuardedResult::Done(v) => assert_eq!(v, 42),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(run_guarded(Duration::from_secs(5), || 41 + 1), Ok(42));
     }
 
     #[test]
     fn guarded_run_contains_panics() {
-        match run_guarded(Duration::from_secs(5), || -> u32 { panic!("boom") }) {
-            GuardedResult::Panicked(msg) => assert!(msg.contains("boom")),
-            other => panic!("unexpected {other:?}"),
-        }
+        let failure = run_guarded(Duration::from_secs(5), || -> u32 { panic!("boom") })
+            .expect_err("a panic is a failure");
+        assert_eq!(failure.kind, FailureKind::Panic);
+        assert!(failure.message.contains("boom"), "{failure}");
     }
 
     #[test]
@@ -454,7 +412,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(800));
             1u32
         });
-        assert!(matches!(result, GuardedResult::TimedOut));
+        assert_eq!(result.map_err(|f| f.kind), Err(FailureKind::Timeout));
     }
 
     /// The leak fix: a timed-out worker that polls `cancelled()` stops
@@ -474,7 +432,7 @@ mod tests {
             seen.fetch_add(1, Ordering::SeqCst);
             true
         });
-        assert!(matches!(result, GuardedResult::TimedOut));
+        assert_eq!(result.map_err(|f| f.kind), Err(FailureKind::Timeout));
         // Give the abandoned worker a moment to poll the tripped token.
         let t0 = std::time::Instant::now();
         while stopped.load(Ordering::SeqCst) == 0 && t0.elapsed() < Duration::from_secs(5) {
@@ -485,30 +443,35 @@ mod tests {
 
     /// A worker that cannot be started is an `Other` failure carrying
     /// the operating system's error, never a timeout: a timeout would
-    /// move a healthy serve tenant onto its fallback template.
+    /// move a healthy serve tenant onto its fallback template. An
+    /// exabyte stack cannot be mapped, so the spawn fails without
+    /// starting a thread.
     #[test]
     fn worker_start_failure_is_not_a_timeout() {
-        let err =
-            std::io::Error::new(std::io::ErrorKind::WouldBlock, "Resource temporarily unavailable");
-        let outcome = worker_start_failed::<Result<u32, Failure>>(&err);
-        assert!(matches!(&outcome, GuardedResult::WorkerStartFailed(m)
-            if m.contains("Resource temporarily unavailable")));
-        let failure = attempt_result(outcome, Duration::from_secs(1)).unwrap_err();
+        let builder = std::thread::Builder::new().stack_size(1 << 60);
+        let Err(failure) = start_worker(builder) else {
+            panic!("an exabyte stack must not start a thread");
+        };
         assert_eq!(failure.kind, FailureKind::Other);
-        assert!(failure.message.contains("Resource temporarily unavailable"), "{failure}");
+        assert!(failure.message.starts_with("could not start a watchdog worker: "), "{failure}");
+        assert!(failure.message.contains("os error"), "{failure}");
     }
 
+    /// `run_guarded` maps each way an attempt ends onto the taxonomy,
+    /// and leaves the task's own result to the caller.
     #[test]
-    fn attempt_result_maps_each_outcome() {
-        let budget = Duration::from_millis(5);
-        assert_eq!(attempt_result(GuardedResult::Done(Ok::<u32, Failure>(3)), budget), Ok(3));
-        let kind = |outcome| attempt_result::<u32>(outcome, budget).unwrap_err().kind;
-        assert_eq!(kind(GuardedResult::Panicked("boom".into())), FailureKind::Panic);
-        assert_eq!(kind(GuardedResult::TimedOut), FailureKind::Timeout);
-        assert_eq!(
-            kind(GuardedResult::Done(Err(Failure::new(FailureKind::NonFinite, "nan")))),
-            FailureKind::NonFinite
-        );
+    fn run_guarded_maps_each_outcome() {
+        let budget = Duration::from_millis(200);
+        assert_eq!(run_guarded(budget, || Ok::<u32, Failure>(3)), Ok(Ok(3)));
+        let kind = |r: Result<Result<u32, Failure>, Failure>| r.and_then(|r| r).unwrap_err().kind;
+        assert_eq!(kind(run_guarded(budget, || panic!("boom"))), FailureKind::Panic);
+        let hang = || {
+            std::thread::sleep(Duration::from_millis(800));
+            Ok(1)
+        };
+        assert_eq!(kind(run_guarded(Duration::from_millis(5), hang)), FailureKind::Timeout);
+        let nan = || Err(Failure::new(FailureKind::NonFinite, "nan"));
+        assert_eq!(kind(run_guarded(budget, nan)), FailureKind::NonFinite);
     }
 
     #[test]
@@ -565,25 +528,18 @@ mod tests {
     #[test]
     fn pipeline_errors_classify_per_variant() {
         use crate::PipelineError as E;
+        let kind = |e: E| Failure::from(e).kind;
         assert_eq!(
-            classify_pipeline_error(&E::BadTemplate {
-                code: "SA001".into(),
-                step: "s".into(),
-                message: "x".into(),
-            }),
+            kind(E::BadTemplate { code: "SA001".into(), step: "s".into(), message: "x".into() }),
             FailureKind::Build
         );
         assert_eq!(
-            classify_pipeline_error(&E::PrimitivePanic { step: "s".into(), message: "m".into() }),
+            kind(E::PrimitivePanic { step: "s".into(), message: "m".into() }),
             FailureKind::Panic
         );
-        assert_eq!(
-            classify_pipeline_error(&E::NonFinite { step: "s".into() }),
-            FailureKind::NonFinite
-        );
-        assert_eq!(
-            classify_pipeline_error(&E::Step { step: "s".into(), source: "e".into() }),
-            FailureKind::Other
-        );
+        assert_eq!(kind(E::NonFinite { step: "s".into() }), FailureKind::NonFinite);
+        assert_eq!(kind(E::Step { step: "s".into(), source: "e".into() }), FailureKind::Other);
+        let e = E::NonFinite { step: "s".into() };
+        assert_eq!(Failure::from(e.clone()).message, e.to_string());
     }
 }

@@ -117,21 +117,17 @@ impl Template {
                     message: e.to_string(),
                 }
             })?;
-            for (name, value) in &spec.overrides {
-                prim.set_hyperparam(name, value.clone()).map_err(|e| PipelineError::Step {
-                    step: spec.primitive.clone(),
-                    source: e.to_string(),
+            // A rejected value is the analyzer's SA003 (out of domain).
+            let overrides = spec.overrides.iter().map(|(name, value)| (name.as_str(), value));
+            let tuned = lambda.iter().filter(|(pid, _)| pid.step == idx);
+            for (name, value) in overrides.chain(tuned.map(|(pid, v)| (pid.name.as_str(), v))) {
+                prim.set_hyperparam(name, value.clone()).map_err(|e| {
+                    PipelineError::BadTemplate {
+                        code: "SA003".to_string(),
+                        step: spec.primitive.clone(),
+                        message: e.to_string(),
+                    }
                 })?;
-            }
-            for (pid, value) in lambda {
-                if pid.step == idx {
-                    prim.set_hyperparam(&pid.name, value.clone()).map_err(|e| {
-                        PipelineError::Step {
-                            step: spec.primitive.clone(),
-                            source: e.to_string(),
-                        }
-                    })?;
-                }
             }
             steps.push(prim);
         }
@@ -260,7 +256,10 @@ mod tests {
             ParamId { step: 1, name: "strategy".into() },
             HyperValue::Text("bogus".into()),
         )];
-        assert!(matches!(t.build(&bad), Err(PipelineError::Step { .. })));
+        assert!(matches!(
+            t.build(&bad),
+            Err(PipelineError::BadTemplate { code, .. }) if code == "SA003"
+        ));
     }
 
     #[test]

@@ -6,9 +6,7 @@
 
 use std::time::{Duration, Instant};
 
-use sintel_pipeline::policy::{
-    classify_pipeline_error, run_with_policy, Failure, FailureKind, RunPolicy,
-};
+use sintel_pipeline::policy::{run_with_policy, Failure, FailureKind, RunPolicy};
 use sintel_pipeline::template::{StepSpec, Template};
 use sintel_primitives::HyperValue;
 use sintel_timeseries::Signal;
@@ -35,13 +33,10 @@ fn watchdog_and_hung_worker_threads_are_reclaimed() {
     for _ in 0..3 {
         let template = template.clone();
         let signal = signal.clone();
-        let (result, _attempts) = run_with_policy(&policy, move || {
-            let fail = |e: &sintel_pipeline::PipelineError| {
-                Failure::new(classify_pipeline_error(e), e.to_string())
-            };
-            let mut pipeline = template.build_default().map_err(|e| fail(&e))?;
-            pipeline.fit(&signal).map_err(|e| fail(&e))?;
-            pipeline.detect(&signal).map_err(|e| fail(&e))
+        let (result, _attempts) = run_with_policy(&policy, move || -> Result<_, Failure> {
+            let mut pipeline = template.build_default()?;
+            pipeline.fit(&signal)?;
+            Ok(pipeline.detect(&signal)?)
         });
         let failure = result.expect_err("a 120 s hang must time out in 200 ms");
         assert_eq!(failure.kind, FailureKind::Timeout);

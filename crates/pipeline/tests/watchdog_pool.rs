@@ -11,7 +11,7 @@ use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use sintel_obs::EventKind;
-use sintel_pipeline::policy::{run_guarded, GuardedResult};
+use sintel_pipeline::policy::{run_guarded, FailureKind};
 use sintel_pipeline::template::{StepSpec, Template};
 use sintel_primitives::HyperValue;
 use sintel_timeseries::Signal;
@@ -38,7 +38,7 @@ struct Seen {
 }
 
 fn healthy_attempt() -> Seen {
-    let outcome = run_guarded(Duration::from_secs(30), || {
+    run_guarded(Duration::from_secs(30), || {
         let seen = Seen {
             thread: std::thread::current().id(),
             cancelled: sintel_common::cancelled(),
@@ -57,11 +57,8 @@ fn healthy_attempt() -> Seen {
         let mut pipeline = template.build_default().expect("builds");
         pipeline.fit_detect_incremental(&signal()).expect("healthy pass");
         seen
-    });
-    match outcome {
-        GuardedResult::Done(seen) => seen,
-        other => panic!("healthy attempt failed: {other:?}"),
-    }
+    })
+    .unwrap_or_else(|failure| panic!("healthy attempt failed: {failure}"))
 }
 
 #[test]
@@ -76,7 +73,9 @@ fn reused_workers_start_every_attempt_clean() {
         let _span = sintel_obs::span("pool.doomed");
         panic!("injected panic with a span open");
     });
-    assert!(matches!(outcome, GuardedResult::Panicked(ref m) if m.contains("injected")));
+    let failure = outcome.expect_err("a panicking attempt fails");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(failure.message.contains("injected"), "{failure}");
     let panicked_on = thread_rx.recv().expect("panicking attempt ran");
 
     // 2. A hung attempt that times out; its worker is retired.
@@ -90,7 +89,7 @@ fn reused_workers_start_every_attempt_clean() {
         let mut pipeline = template.build_default().expect("builds");
         pipeline.fit(&signal()).is_ok()
     });
-    assert!(matches!(outcome, GuardedResult::TimedOut), "{outcome:?}");
+    assert!(matches!(&outcome, Err(f) if f.kind == FailureKind::Timeout), "{outcome:?}");
     let hung_on = thread_rx.recv().expect("hung attempt ran");
     assert_eq!(hung_on, panicked_on, "the worker of a panicked attempt goes back to the pool");
 

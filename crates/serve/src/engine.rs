@@ -84,10 +84,6 @@ pub struct ServeConfig {
     pub policy: RunPolicy,
     /// Pipeline used once a tenant is degraded.
     pub fallback: Template,
-    /// Feed the engine's own per-tick operational streams through a
-    /// fallback-template detection pass under the reserved `_self`
-    /// tenant (see [`crate::selfmon`]).
-    pub self_monitor: bool,
 }
 
 impl Default for ServeConfig {
@@ -105,7 +101,6 @@ impl Default for ServeConfig {
             quarantine_trips: 2,
             policy: RunPolicy::default(),
             fallback: fallback_template(),
-            self_monitor: true,
         }
     }
 }
@@ -129,7 +124,6 @@ impl ServeConfig {
             quarantine_trips: 2,
             policy: RunPolicy::single_attempt(Duration::from_secs(30)),
             fallback: fallback_template(),
-            self_monitor: true,
         }
     }
 
@@ -225,7 +219,10 @@ pub struct ServeEngine {
     tenants: BTreeMap<String, TenantRuntime>,
     ticks: u64,
     meta_id: u64,
-    self_monitor: Option<SelfMonitor>,
+    /// Feeds the engine's own per-tick operational streams through a
+    /// fallback-template detection pass under the reserved `_self`
+    /// tenant (see [`crate::selfmon`]).
+    self_monitor: SelfMonitor,
     /// Publish handle for the HTTP status server, once enabled.
     status: Option<SharedStatus>,
     /// The last committed tick's wide event.
@@ -302,8 +299,7 @@ impl ServeEngine {
                 },
             );
         }
-        let self_monitor =
-            if cfg.self_monitor { Some(SelfMonitor::open(&db, &cfg)?) } else { None };
+        let self_monitor = SelfMonitor::open(&db, &cfg)?;
         let window = TickWindow::recover(&db, ticks);
         Ok(Self {
             cfg,
@@ -425,9 +421,7 @@ impl ServeEngine {
             for runtime in self.tenants.values_mut() {
                 runtime.slot.invalidate();
             }
-            if let Some(monitor) = self.self_monitor.as_mut() {
-                monitor.invalidate();
-            }
+            self.self_monitor.invalidate();
             return Err(e);
         }
 
@@ -549,14 +543,9 @@ impl ServeEngine {
         // through the `_self` session, committing its checkpoint and
         // any anomalies it raised in the same cut. Its events are
         // persisted, never returned.
-        let self_report = self
-            .self_monitor
-            .as_mut()
-            .map(|monitor| monitor.observe_tick(self.ticks, wide, self.window.newest()));
-        if let Some(report) = &self_report {
-            pass_latency.merge(&report.pass_latency);
-            wide.self_events = report.events.len() as u64;
-        }
+        let self_report = self.self_monitor.observe_tick(self.ticks, wide, self.window.newest());
+        pass_latency.merge(&self_report.pass_latency);
+        wide.self_events = self_report.events.len() as u64;
         self.window.push(TickRecord::new(wide, pass_latency));
         for (counter, by) in [
             ("sintel_serve_accepted_total", wide.accepted),
@@ -567,13 +556,11 @@ impl ServeEngine {
         ] {
             sintel_obs::counter_add(counter, by);
         }
-        if let (Some(monitor), Some(report)) = (self.self_monitor.as_mut(), self_report) {
-            monitor.checkpoint(&self.db)?;
-            for ev in &report.events {
-                self.db.add_serve_event(
-                    &ev.tenant, &ev.signal, ev.seq, ev.start, ev.end, ev.severity, ev.pass,
-                )?;
-            }
+        self.self_monitor.checkpoint(&self.db)?;
+        for ev in &self_report.events {
+            self.db.add_serve_event(
+                &ev.tenant, &ev.signal, ev.seq, ev.start, ev.end, ev.severity, ev.pass,
+            )?;
         }
         self.db.add_serve_tick(wide.to_doc())?;
 
@@ -634,9 +621,10 @@ impl ServeEngine {
         self.last_wide.as_ref()
     }
 
-    /// The self-monitoring session, when enabled.
+    /// The self-monitoring session. Always `Some`: self-monitoring is
+    /// unconditional, and the `Option` keeps the signature callers use.
     pub fn self_session(&self) -> Option<&TenantSession> {
-        self.self_monitor.as_ref().map(SelfMonitor::session)
+        Some(self.self_monitor.session())
     }
 
     /// Every committed `_self` anomaly the self-monitor raised on the

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 
 use sintel_obs::Histogram;
-use sintel_pipeline::policy::{classify_pipeline_error, run_with_policy, Failure, FailureKind};
+use sintel_pipeline::policy::{run_with_policy, Failure, FailureKind};
 use sintel_pipeline::Template;
 use sintel_store::{Doc, SintelDb};
 use sintel_timeseries::Signal;
@@ -264,11 +264,8 @@ impl TenantSession {
         };
         let chosen = if self.degraded { cfg.fallback.clone() } else { template.clone() };
         let task = move || {
-            let fail = |e: &sintel_pipeline::PipelineError| {
-                Failure::new(classify_pipeline_error(e), e.to_string())
-            };
-            let mut pipeline = chosen.build_default().map_err(|e| fail(&e))?;
-            pipeline.fit_detect_incremental(&snapshot).map_err(|e| fail(&e))
+            let mut pipeline = chosen.build_default()?;
+            Ok::<_, Failure>(pipeline.fit_detect_incremental(&snapshot)?)
         };
         report.passes_run += 1;
         let span = sintel_obs::span_with(

@@ -121,34 +121,51 @@ impl Collection {
         }
     }
 
+    /// Matches of `filter` among the documents a secondary index narrows
+    /// it to, in index (not `_id`) order; `None` when the filter pins no
+    /// indexed field by equality and a full scan is needed.
+    fn indexed_matches<'a: 'f, 'f>(
+        &'a self,
+        filter: &'f Filter,
+    ) -> Option<impl Iterator<Item = (&'a u64, &'a Doc)> + 'f> {
+        let ids = self.indexes.iter().find_map(|(field, index)| {
+            let value = filter.pinned_eq(field)?;
+            Some(index.get(&index_key(value)).map_or(&[][..], Vec::as_slice))
+        })?;
+        Some(
+            ids.iter()
+                .filter_map(|id| self.docs.get_key_value(id))
+                .filter(|(_, doc)| filter.matches(doc)),
+        )
+    }
+
     /// Find documents matching a filter, in `_id` order. Routes through a
     /// secondary index when the filter pins an indexed field by equality.
     pub fn find(&self, filter: &Filter) -> Vec<&Doc> {
-        // Index fast path.
-        for (field, index) in &self.indexes {
-            if let Some(value) = filter.pinned_eq(field) {
-                let mut hits: Vec<&Doc> = index
-                    .get(&index_key(value))
-                    .map(|ids| {
-                        ids.iter().filter_map(|id| self.docs.get(id)).collect::<Vec<_>>()
-                    })
-                    .unwrap_or_default();
-                hits.retain(|doc| filter.matches(doc));
-                hits.sort_by_key(|d| d.get("_id").and_then(Doc::as_i64).unwrap_or(0));
-                return hits;
+        match self.indexed_matches(filter) {
+            Some(hits) => {
+                let mut hits: Vec<_> = hits.collect();
+                hits.sort_unstable_by_key(|(id, _)| **id);
+                hits.into_iter().map(|(_, doc)| doc).collect()
             }
+            None => self.docs.values().filter(|doc| filter.matches(doc)).collect(),
         }
-        self.docs.values().filter(|doc| filter.matches(doc)).collect()
     }
 
-    /// First match, if any.
+    /// The match with the lowest `_id`, if any.
     pub fn find_one(&self, filter: &Filter) -> Option<&Doc> {
-        self.find(filter).into_iter().next()
+        match self.indexed_matches(filter) {
+            Some(hits) => hits.min_by_key(|(id, _)| **id).map(|(_, doc)| doc),
+            None => self.docs.values().find(|doc| filter.matches(doc)),
+        }
     }
 
     /// Count matches.
     pub fn count(&self, filter: &Filter) -> usize {
-        self.find(filter).len()
+        match self.indexed_matches(filter) {
+            Some(hits) => hits.count(),
+            None => self.docs.values().filter(|doc| filter.matches(doc)).count(),
+        }
     }
 
     /// Iterate all documents in `_id` order.
@@ -242,6 +259,41 @@ mod tests {
         assert_eq!(c.find(&Filter::eq("signal", "S-2")).len(), 1);
         c.delete(1).unwrap();
         assert_eq!(c.find(&Filter::eq("signal", "S-2")).len(), 0);
+    }
+
+    /// `count` and `find_one` agree with `find` on the scan and the
+    /// index path, for filters matching no, one and several documents.
+    #[test]
+    fn count_and_find_one_agree_with_find() {
+        // Ids descend as signals repeat, so index order differs from `_id` order.
+        let mut c = Collection::new();
+        for i in 0..12u64 {
+            c.put(100 - i, event(&format!("S-{}", i % 4), i as f64));
+        }
+        c.put(7, event("S-solo", 0.5));
+        let filters = [
+            Filter::eq("signal", "S-none"),
+            Filter::eq("signal", "S-solo"),
+            Filter::eq("signal", "S-2"),
+            Filter::And(vec![
+                Filter::eq("signal", "S-1"),
+                Filter::Gt("score".into(), Doc::F64(4.0)),
+            ]),
+            Filter::Gt("score".into(), Doc::F64(100.0)),
+            Filter::Lt("score".into(), Doc::F64(0.7)),
+            Filter::All,
+        ];
+        for indexed in [false, true] {
+            if indexed {
+                c.create_index("signal");
+            }
+            let sizes: Vec<usize> = filters.iter().map(|f| c.find(f).len()).collect();
+            assert!(sizes.contains(&0) && sizes.contains(&1) && sizes.iter().any(|&n| n > 1));
+            for f in &filters {
+                assert_eq!(c.count(f), c.find(f).len(), "indexed={indexed} {f:?}");
+                assert_eq!(c.find_one(f), c.find(f).first().copied(), "indexed={indexed} {f:?}");
+            }
+        }
     }
 
     #[test]

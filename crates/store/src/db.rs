@@ -569,7 +569,7 @@ impl Database {
 
     /// First match in `_id` order (cloned).
     pub fn find_one(&self, collection: &str, filter: &Filter) -> Option<Doc> {
-        self.find(collection, filter).into_iter().next()
+        self.read().get(collection).and_then(|col| col.find_one(filter).cloned())
     }
 
     /// Count matches.

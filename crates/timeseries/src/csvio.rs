@@ -132,14 +132,30 @@ pub fn read_labels_csv(path: &Path) -> Result<Vec<Interval>> {
 mod tests {
     use super::*;
 
-    fn tmpdir() -> std::path::PathBuf {
+    /// A per-test scratch directory, removed when the test ends (also
+    /// when it fails).
+    struct TmpDir(std::path::PathBuf);
+
+    impl TmpDir {
+        fn join(&self, name: &str) -> std::path::PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir() -> TmpDir {
         let dir = std::env::temp_dir().join(format!(
             "sintel-csv-test-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TmpDir(dir)
     }
 
     #[test]

@@ -13,7 +13,7 @@ cargo build --release
 # `cargo test -q` is the whole workspace. The gate also fails if the
 # number of passing tests drops below this floor: a suite must never
 # shrink quietly.
-TEST_FLOOR=783
+TEST_FLOOR=784
 
 # Run `cargo test -q` with the given environment, echo its output and
 # fail unless at least TEST_FLOOR tests passed.
@@ -121,10 +121,12 @@ cargo clippy -q -p sintel-linalg --all-targets
 cargo clippy -q -p sintel-nn --lib
 cargo clippy -q -p sintel-metrics --lib
 
-# The store, the serving tier and the observability substrate are
-# clippy-clean on every target, tests included; keep them so.
-echo "==> cargo clippy (store, serve, obs: all targets, warnings denied)"
-cargo clippy -q -p sintel-store -p sintel-serve -p sintel-obs --all-targets -- -D warnings
+# The store, the serving tier, the observability substrate, the
+# pipeline executor and its watchdog, the framework core and the shared
+# substrate are clippy-clean on every target, tests included; keep them so.
+echo "==> cargo clippy (store, serve, obs, pipeline, core, common: all targets, warnings denied)"
+cargo clippy -q -p sintel-store -p sintel-serve -p sintel-obs -p sintel-pipeline -p sintel \
+    -p sintel-common --all-targets -- -D warnings
 
 # The API docs must build without a warning: no broken, ambiguous or
 # private intra-doc links.
