@@ -39,7 +39,6 @@ fn main() {
             datasets: vec![DatasetId::Nab, DatasetId::Nasa, DatasetId::Yahoo],
             data: DatasetConfig { seed: 42, signal_scale: scale, length_scale: (scale * 2.5).clamp(0.12, 1.0) },
             metric: MetricKind::Overlap,
-            rank: "f1",
             ..BenchmarkConfig::default()
         };
         let rows = benchmark(&cfg).expect("benchmark run");

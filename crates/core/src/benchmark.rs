@@ -50,8 +50,6 @@ pub struct BenchmarkConfig {
     pub data: DatasetConfig,
     /// Scoring metric.
     pub metric: MetricKind,
-    /// Rank rows by this metric name when rendering (`"f1"` in Fig 4c).
-    pub rank: &'static str,
     /// Per-signal execution budget (watchdog timeout, retries, backoff).
     pub policy: RunPolicy,
 }
@@ -64,7 +62,6 @@ impl Default for BenchmarkConfig {
             datasets: vec![DatasetId::Nab, DatasetId::Nasa, DatasetId::Yahoo],
             data: DatasetConfig::small(),
             metric: MetricKind::Overlap,
-            rank: "f1",
             policy: RunPolicy::default(),
         }
     }
@@ -697,7 +694,6 @@ mod tests {
             datasets: vec![DatasetId::Nab],
             data: DatasetConfig { seed: 42, signal_scale: 0.05, length_scale: 0.08 },
             metric: MetricKind::Overlap,
-            rank: "f1",
             ..BenchmarkConfig::default()
         }
     }

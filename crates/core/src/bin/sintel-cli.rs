@@ -31,9 +31,8 @@ use sintel::benchmark::{
 use sintel::Sintel;
 use sintel_pipeline::hub::template_by_name;
 use sintel_pipeline::policy::RunPolicy;
-use sintel_serve::{
-    Admission, AnomalyEvent, IngestEvent, ServeConfig, ServeEngine, StatusServer, TenantSpec,
-};
+use sintel_serve::event::decode_corpus;
+use sintel_serve::{Admission, AnomalyEvent, ServeConfig, ServeEngine, StatusServer, TenantSpec};
 use sintel_store::{Durability, SintelDb, StoreOptions};
 use sintel_datasets::{load_all, DatasetConfig, DatasetId};
 use sintel_timeseries::csvio;
@@ -479,7 +478,6 @@ fn cmd_benchmark(opts: &HashMap<String, String>) -> Result<(), String> {
             length_scale: (scale * 2.5).clamp(0.1, 1.0),
         },
         metric: MetricKind::Overlap,
-        rank: "f1",
         policy,
         ..BenchmarkConfig::default()
     };
@@ -505,52 +503,13 @@ fn cmd_benchmark(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Open the persistent knowledge base named by `--store DIR`, at the
-/// durability level named by `--store-durability` (default `wal-sync`).
-/// Returns `None` when no store was requested.
-/// Load a serve corpus: `tenant,signal,timestamp,value` CSV rows (a
-/// header row and `#` comments are skipped).
-fn load_corpus(path: &Path) -> Result<Vec<IngestEvent>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let mut events = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        if fields.len() != 4 {
-            return Err(format!(
-                "{}:{}: want tenant,signal,timestamp,value",
-                path.display(),
-                lineno + 1
-            ));
-        }
-        let Ok(timestamp) = fields[2].parse::<i64>() else {
-            if lineno == 0 {
-                continue; // header row
-            }
-            return Err(format!(
-                "{}:{}: bad timestamp '{}'",
-                path.display(),
-                lineno + 1,
-                fields[2]
-            ));
-        };
-        let value: f64 = fields[3].parse().map_err(|_| {
-            format!("{}:{}: bad value '{}'", path.display(), lineno + 1, fields[3])
-        })?;
-        events.push(IngestEvent::new(fields[0], fields[1], timestamp, value));
-    }
-    Ok(events)
-}
-
 fn cmd_serve(opts: &HashMap<String, String>, dry_run: bool) -> Result<(), String> {
     let corpus = opts
         .get("corpus")
         .ok_or("serve needs --corpus FILE.csv (tenant,signal,timestamp,value rows)")?;
-    let events = load_corpus(Path::new(corpus))?;
+    let file = std::fs::File::open(corpus).map_err(|e| format!("reading {corpus}: {e}"))?;
+    let events =
+        decode_corpus(std::io::BufReader::new(file)).map_err(|e| format!("{corpus}: {e}"))?;
     if events.is_empty() {
         return Err(format!("{corpus}: no events"));
     }
@@ -763,6 +722,9 @@ fn cmd_serve(opts: &HashMap<String, String>, dry_run: bool) -> Result<(), String
     Ok(())
 }
 
+/// Open the persistent knowledge base named by `--store DIR`, at the
+/// durability level named by `--store-durability` (default `wal-sync`).
+/// Returns `None` when no store was requested.
 fn open_store(opts: &HashMap<String, String>) -> Result<Option<SintelDb>, String> {
     let Some(dir) = opts.get("store") else {
         if opts.contains_key("store-durability") {

@@ -55,7 +55,6 @@ fn faulty_config() -> BenchmarkConfig {
         datasets: vec![DatasetId::Nab],
         data: data_config(),
         metric: MetricKind::Overlap,
-        rank: "f1",
         policy: test_policy(),
     }
 }
@@ -99,7 +98,6 @@ fn healthy_scores_are_bitwise_identical_with_and_without_faults() {
         datasets: vec![DatasetId::Nab],
         data: data_config(),
         metric: MetricKind::Overlap,
-        rank: "f1",
         policy: test_policy(),
         ..BenchmarkConfig::default()
     };

@@ -25,7 +25,6 @@ fn tiny_config() -> BenchmarkConfig {
         datasets: vec![DatasetId::Nab],
         data: DatasetConfig { seed: 42, signal_scale: 0.05, length_scale: 0.08 },
         metric: MetricKind::Overlap,
-        rank: "f1",
         policy: RunPolicy {
             timeout: Duration::from_secs(30),
             max_retries: 0,

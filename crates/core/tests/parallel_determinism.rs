@@ -36,7 +36,6 @@ fn sweep_config() -> BenchmarkConfig {
         datasets: vec![DatasetId::Nab],
         data: DatasetConfig { seed: 42, signal_scale: 0.05, length_scale: 0.08 },
         metric: MetricKind::Overlap,
-        rank: "f1",
         policy: RunPolicy {
             timeout: Duration::from_secs(60),
             max_retries: 0,

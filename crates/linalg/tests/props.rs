@@ -274,13 +274,7 @@ fn catch_mutant_report(name: &'static str, mutant: Kernel) -> String {
         )
     });
     let payload = result.expect_err("the mutated kernel must be caught by the property");
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        panic!("forall panicked with an opaque payload");
-    }
+    sintel_common::panic_message(payload.as_ref())
 }
 
 /// Extract `prefix <u64>` from a forall report.

@@ -220,13 +220,7 @@ fn seeded_lstm_mutation_is_caught_and_replayable() {
         forall("MUTANT reordered gate reduction", &Config::default(), gen, shrinks::none, prop)
     });
     let payload = result.expect_err("the mutated step must be caught by the property");
-    let report = if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        panic!("forall panicked with an opaque payload");
-    };
+    let report = sintel_common::panic_message(payload.as_ref());
     assert!(
         report.contains(sintel_common::check::CHECK_SEED_ENV),
         "report must tell the user how to replay the run: {report}"
@@ -568,13 +562,7 @@ fn seeded_gw_order_mutation_is_caught_and_replayable() {
         forall("MUTANT ascending gw", &Config::default().cases(48), gen, shrinks::none, prop)
     });
     let payload = result.expect_err("the ascending-time mutant must be caught by the property");
-    let report = if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        panic!("forall panicked with an opaque payload");
-    };
+    let report = sintel_common::panic_message(payload.as_ref());
     assert!(
         report.contains(sintel_common::check::CHECK_SEED_ENV),
         "report must tell the user how to replay the run: {report}"

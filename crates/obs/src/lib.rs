@@ -31,12 +31,10 @@
 
 use sintel_common::json::Doc;
 
-pub mod catalog;
 pub mod log;
 pub mod metrics;
 pub mod span;
 
-pub use crate::catalog::{metric_def, MetricDef, MetricKind, METRICS};
 pub use crate::log::{
     capture_start, capture_stop, enabled, log, set_level, Level, LogRecord,
 };

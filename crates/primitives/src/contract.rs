@@ -103,15 +103,15 @@ pub struct Contract {
 }
 
 impl Contract {
-    /// Derive the default contract from metadata `inputs` / `outputs`:
-    /// every input is a required read in both phases, every output a
-    /// primary write.
-    pub fn from_io(inputs: &[String], outputs: &[String]) -> Self {
+    /// Derive the default contract from a primitive's `inputs` /
+    /// `outputs` slots: every input is a required read in both phases,
+    /// every output a primary write.
+    pub fn from_io(inputs: &[&str], outputs: &[&str]) -> Self {
         Self {
             reads: inputs
                 .iter()
                 .map(|slot| SlotRead {
-                    slot: slot.clone(),
+                    slot: slot.to_string(),
                     kind: ValueKind::infer(slot),
                     required: true,
                     fit: true,
@@ -121,7 +121,7 @@ impl Contract {
             writes: outputs
                 .iter()
                 .map(|slot| SlotWrite {
-                    slot: slot.clone(),
+                    slot: slot.to_string(),
                     kind: ValueKind::infer(slot),
                     primary: true,
                 })
@@ -197,10 +197,6 @@ impl Contract {
 mod tests {
     use super::*;
 
-    fn strings(xs: &[&str]) -> Vec<String> {
-        xs.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn kind_inference_follows_slot_convention() {
         assert_eq!(ValueKind::infer("signal"), ValueKind::Signal);
@@ -216,7 +212,7 @@ mod tests {
 
     #[test]
     fn from_io_defaults_required_and_primary() {
-        let c = Contract::from_io(&strings(&["signal"]), &strings(&["errors"]));
+        let c = Contract::from_io(&["signal"], &["errors"]);
         assert_eq!(c.reads.len(), 1);
         assert!(c.reads[0].required && c.reads[0].fit && c.reads[0].produce);
         assert!(c.writes[0].primary);
@@ -226,10 +222,7 @@ mod tests {
 
     #[test]
     fn refinements_adjust_flags() {
-        let c = Contract::from_io(
-            &strings(&["windows", "targets"]),
-            &strings(&["windows", "targets"]),
-        )
+        let c = Contract::from_io(&["windows", "targets"], &["windows", "targets"])
         .fit_only_read("targets")
         .optional_read("critic_scores")
         .auxiliary_write("targets");

@@ -30,7 +30,8 @@ impl std::fmt::Display for Engine {
 
 /// Primitive metadata: the annotations the paper attaches to every
 /// primitive (name, documentation, engine category, declared
-/// hyperparameters, and the context slots consumed/produced).
+/// hyperparameters, and the contract over the context slots it
+/// consumes and produces).
 ///
 /// The built-in primitives build theirs once per type, in a `OnceLock`
 /// on first construction, and every instance borrows it, so building a
@@ -43,15 +44,12 @@ pub struct PrimitiveMeta {
     pub engine: Engine,
     /// One-line documentation string.
     pub description: String,
-    /// Context slots this primitive reads.
-    pub inputs: Vec<String>,
-    /// Context slots this primitive writes.
-    pub outputs: Vec<String>,
     /// Declared hyperparameters.
     pub hyperparams: Vec<HyperSpec>,
     /// Static dataflow contract (per-phase reads/writes) consumed by
-    /// `sintel-analyze`. Derived from `inputs`/`outputs`, refined via the
-    /// builder methods where dataflow is conditional.
+    /// `sintel-analyze`. Derived from the `inputs`/`outputs` slots given
+    /// to [`PrimitiveMeta::new`], refined via the builder methods where
+    /// dataflow is conditional.
     pub contract: Contract,
 }
 
@@ -65,17 +63,12 @@ impl PrimitiveMeta {
         outputs: &[&str],
         hyperparams: Vec<HyperSpec>,
     ) -> Self {
-        let inputs: Vec<String> = inputs.iter().map(|s| s.to_string()).collect();
-        let outputs: Vec<String> = outputs.iter().map(|s| s.to_string()).collect();
-        let contract = Contract::from_io(&inputs, &outputs);
         Self {
             name: name.to_string(),
             engine,
             description: description.to_string(),
-            inputs,
-            outputs,
             hyperparams,
-            contract,
+            contract: Contract::from_io(inputs, outputs),
         }
     }
 

@@ -433,7 +433,6 @@ impl ServeEngine {
         }
         sintel_obs::counter_add("sintel_serve_ticks_total", 1);
         sintel_obs::observe("sintel_serve_checkpoint_seconds", self.last_checkpoint_seconds);
-        sintel_obs::gauge_set("sintel_serve_backlog", self.aggregate_depth() as f64);
         let tick_elapsed = tick_span.close();
         sintel_obs::observe_duration("sintel_serve_tick_seconds", tick_elapsed);
         self.window.time_newest(tick_elapsed.as_secs_f64());
@@ -536,7 +535,6 @@ impl ServeEngine {
             }
             emitted.extend(events);
         }
-        wide.backlog = self.aggregate_depth() as u64;
 
         // Self-monitoring: absorb this tick's operational measurements
         // (now final), differenced against the window's newest record,
@@ -897,8 +895,8 @@ mod tests {
         let record = window.newest().expect("the tick is recorded");
         assert_eq!((record.drained, record.retried, record.shed), (3, 2, 0));
         assert_eq!(
-            (record.drained, record.retried, record.emitted, record.backlog),
-            (wide.drained, wide.retried, wide.emitted, wide.backlog)
+            (record.drained, record.retried, record.emitted, record.pass_failures),
+            (wide.drained, wide.retried, wide.emitted, wide.pass_failures)
         );
         assert!(record.tick_seconds >= 0.0, "a committed tick is timed");
     }

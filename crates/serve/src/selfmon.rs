@@ -1,7 +1,7 @@
 //! Self-monitoring: the engine watches itself with its own machinery.
 //!
 //! Every committed tick produces a handful of operational measurements
-//! (events drained, offers shed, pass failures, backlog). Instead of
+//! (events drained, offers shed, pass failures). Instead of
 //! bolting an ad-hoc alerting rule onto those numbers, the engine feeds
 //! them through the exact same path a tenant's telemetry takes: a
 //! [`TenantSession`] under the reserved [`SELF_TENANT`] name, running
@@ -49,9 +49,8 @@ use sintel_store::SintelDb;
 pub const SELF_TENANT: &str = "_self";
 
 /// The monitored streams, in feed order. Values are per-tick first
-/// differences of: events drained, offers shed, pass failures, backlog.
-const STREAMS: [&str; 4] =
-    ["events_per_tick", "sheds_per_tick", "pass_failures_per_tick", "backlog"];
+/// differences of: events drained, offers shed, pass failures.
+const STREAMS: [&str; 3] = ["events_per_tick", "sheds_per_tick", "pass_failures_per_tick"];
 
 /// The engine's self-observation session (see module docs).
 #[derive(Debug)]
@@ -100,8 +99,8 @@ impl SelfMonitor {
         let timestamp = tick.min(i64::MAX as u64) as i64;
         let mut report = PassReport::default();
         let template = self.cfg.fallback.clone();
-        let now = [wide.drained, wide.shed, wide.pass_failures, wide.backlog];
-        let base = previous.map_or(now, |r| [r.drained, r.shed, r.pass_failures, r.backlog]);
+        let now = [wide.drained, wide.shed, wide.pass_failures];
+        let base = previous.map_or(now, |r| [r.drained, r.shed, r.pass_failures]);
         for ((signal, now), base) in STREAMS.into_iter().zip(now).zip(base) {
             let event = IngestEvent::new(SELF_TENANT, signal, timestamp, now as f64 - base as f64);
             self.session.absorb(&event, &template, &self.cfg, &mut report);
@@ -170,7 +169,7 @@ mod tests {
             emitted.extend(report.events);
         }
         assert!(emitted.is_empty(), "steady per-tick streams must stay quiet: {emitted:?}");
-        assert_eq!(monitor.session().signals().len(), 4);
+        assert_eq!(monitor.session().signals().len(), STREAMS.len());
         // Passes fire on the hop schedule once min_points is buffered.
         assert!(monitor.session().pass_counter() > 0);
     }
@@ -241,7 +240,7 @@ mod tests {
         db.add_serve_tick(wide(40, 100, 0, 0).to_doc()).expect("wide event");
 
         let recovered = TickWindow::recover(&db, 40);
-        let counts = |r: &TickRecord| (r.drained, r.shed, r.pass_failures, r.backlog);
+        let counts = |r: &TickRecord| (r.drained, r.shed, r.pass_failures);
         assert_eq!(recovered.newest().map(counts), window.newest().map(counts));
         assert_eq!(recovered.sum(|r| r.drained).ticks, 1);
         // Without a committed wide event at that tick, the window starts

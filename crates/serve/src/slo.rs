@@ -5,11 +5,11 @@
 //! * [`TickWideEvent`] — one structured record per engine tick: total
 //!   and per-tenant admission deltas, drain/absorb/pass counts, pass
 //!   wall time, the *previous* tick's checkpoint-commit duration (the
-//!   current one is unknowable until after the record is committed)
-//!   and the post-tick backlog. The engine persists it to the
-//!   `serve_ticks` collection inside the same group commit as the
-//!   session checkpoints, so post-hoc forensics can replay exactly
-//!   what every committed tick looked like.
+//!   current one is unknowable until after the record is committed).
+//!   The engine persists it to the `serve_ticks` collection inside the
+//!   same group commit as the session checkpoints, so post-hoc
+//!   forensics can replay exactly what every committed tick looked
+//!   like.
 //! * [`TickWindow`] — the engine's ring of its last [`TICK_WINDOW`]
 //!   ticks, one compact [`TickRecord`] per tick taken from its wide
 //!   event plus the tick's wall time and pass latencies. It is the
@@ -128,10 +128,6 @@ pub struct TickWideEvent {
     /// Anomaly events the self-monitor emitted on the engine's own
     /// operational streams this tick.
     pub self_events: u64,
-    /// Events still queued after the tick (offers that arrived for
-    /// other tenants while this tick was cut — always 0 for the
-    /// single-writer engine, kept for forward compatibility).
-    pub backlog: u64,
     /// Wall time spent in detection passes this tick, all tenants
     /// (volatile; masked in determinism tests).
     pub pass_seconds: f64,
@@ -158,7 +154,6 @@ impl TickWideEvent {
             .with("passes_run", self.passes_run)
             .with("pass_failures", self.pass_failures)
             .with("self_events", self.self_events)
-            .with("backlog", self.backlog)
             .with("pass_seconds", self.pass_seconds)
             .with("checkpoint_seconds", self.checkpoint_seconds)
             .with("tenants", Doc::Arr(tenants))
@@ -187,8 +182,6 @@ pub struct TickRecord {
     pub emitted: u64,
     /// Attempted passes that failed.
     pub pass_failures: u64,
-    /// Events still queued after the tick.
-    pub backlog: u64,
     /// Wall time of the whole tick; NaN for a tick whose commit failed
     /// and for the record recovered from the store at open, which
     /// [`Histogram::observe`] skips.
@@ -207,7 +200,6 @@ impl TickRecord {
             retried: wide.retried,
             emitted: wide.emitted,
             pass_failures: wide.pass_failures,
-            backlog: wide.backlog,
             tick_seconds: f64::NAN,
             pass_latency,
         }
@@ -265,7 +257,6 @@ impl TickWindow {
                 retried: field("retried"),
                 emitted: field("emitted"),
                 pass_failures: field("pass_failures"),
-                backlog: field("backlog"),
                 ..TickWideEvent::default()
             };
             window.push(TickRecord::new(&wide, Histogram::new()));

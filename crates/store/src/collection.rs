@@ -121,6 +121,17 @@ impl Collection {
         }
     }
 
+    /// The smallest index bucket `filter` pins by equality, ties going
+    /// to the field that sorts first, so the choice does not depend on
+    /// hash order; `None` when the filter pins no indexed field.
+    fn pinned_ids(&self, filter: &Filter) -> Option<&[u64]> {
+        let buckets = self.indexes.iter().filter_map(|(field, index)| {
+            let value = filter.pinned_eq(field)?;
+            Some((index.get(&index_key(value)).map_or(&[][..], Vec::as_slice), field))
+        });
+        buckets.min_by_key(|&(ids, field)| (ids.len(), field)).map(|(ids, _)| ids)
+    }
+
     /// Matches of `filter` among the documents a secondary index narrows
     /// it to, in index (not `_id`) order; `None` when the filter pins no
     /// indexed field by equality and a full scan is needed.
@@ -128,10 +139,7 @@ impl Collection {
         &'a self,
         filter: &'f Filter,
     ) -> Option<impl Iterator<Item = (&'a u64, &'a Doc)> + 'f> {
-        let ids = self.indexes.iter().find_map(|(field, index)| {
-            let value = filter.pinned_eq(field)?;
-            Some(index.get(&index_key(value)).map_or(&[][..], Vec::as_slice))
-        })?;
+        let ids = self.pinned_ids(filter)?;
         Some(
             ids.iter()
                 .filter_map(|id| self.docs.get_key_value(id))
@@ -189,6 +197,25 @@ mod tests {
             c.put(id, doc);
         }
         c
+    }
+
+    #[test]
+    fn a_filter_pinning_two_indexes_uses_the_smaller_bucket() {
+        // Signal "a" on ids 1-3, "b" on 4-5; score 1 on ids 1, 2 and 4.
+        let scores = [1.0, 1.0, 0.0, 1.0, 0.0];
+        let mut c = filled((0..5).map(|i| event(if i < 3 { "a" } else { "b" }, scores[i])));
+        c.create_index("signal");
+        c.create_index("score");
+        let both = |signal: &str| {
+            Filter::And(vec![Filter::eq("signal", signal), Filter::eq("score", 1.0)])
+        };
+        // Bucket sizes: signal "a" 3 vs score 1.0 3, a tie that goes to
+        // "score", which sorts first; then signal "b" 2 vs score 1.0 3.
+        assert_eq!(c.pinned_ids(&both("a")), Some(&[1, 2, 4][..]));
+        assert_eq!(c.pinned_ids(&both("b")), Some(&[4, 5][..]));
+        let found: Vec<_> = c.find(&both("b")).iter().map(|d| d.get("_id").cloned()).collect();
+        assert_eq!(found, vec![Some(Doc::I64(4))]);
+        assert_eq!(c.pinned_ids(&Filter::eq("other", 1i64)), None);
     }
 
     #[test]

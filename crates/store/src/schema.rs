@@ -72,7 +72,7 @@ pub mod collections {
     /// Serving-tier engine metadata (tick counter etc.).
     pub const SERVE_META: &str = "serve_meta";
     /// Serving-tier per-tick wide events (one structured record per
-    /// tick: admissions, latencies, checkpoint cost, backlog).
+    /// tick: admissions, latencies, checkpoint cost).
     pub const SERVE_TICKS: &str = "serve_ticks";
 }
 

@@ -216,6 +216,10 @@ fn queries() -> Vec<Query> {
         (Filter::eq("k", 0i64), |d| has(d, "k", Doc::I64(0))),
         (Filter::eq("k", 1i64), |d| has(d, "k", Doc::I64(1))),
         (Filter::eq("s", "x"), |d| has(d, "s", Doc::from("x"))),
+        // Pins both indexable fields: reads use the smaller bucket.
+        (Filter::And(vec![Filter::eq("k", 1i64), Filter::eq("s", "x")]), |d| {
+            has(d, "k", Doc::I64(1)) && has(d, "s", Doc::from("x"))
+        }),
         (Filter::Gt("n".into(), Doc::I64(0)), |d| n_of(d).is_some_and(|n| n > 0)),
         (Filter::And(vec![Filter::eq("k", 2i64), Filter::Lte("n".into(), Doc::I64(0))]), |d| {
             has(d, "k", Doc::I64(2)) && n_of(d).is_some_and(|n| n <= 0)

@@ -33,8 +33,10 @@ pub enum TimeSeriesError {
     InvalidInterval(String),
     /// A parameter was out of range for the operation.
     InvalidParameter(String),
-    /// CSV parsing / IO failure.
+    /// A file or directory could not be opened, created or written.
     Io(String),
+    /// A CSV file was rejected (see [`csvio::CsvError`]).
+    Csv(csvio::CsvError),
     /// Work was cancelled by a watchdog (`sintel_common::cancel`): the
     /// run budget expired and a long extraction loop bailed out early.
     Cancelled,
@@ -47,6 +49,7 @@ impl std::fmt::Display for TimeSeriesError {
             TimeSeriesError::InvalidInterval(m) => write!(f, "invalid interval: {m}"),
             TimeSeriesError::InvalidParameter(m) => write!(f, "invalid parameter: {m}"),
             TimeSeriesError::Io(m) => write!(f, "io error: {m}"),
+            TimeSeriesError::Csv(e) => write!(f, "{e}"),
             TimeSeriesError::Cancelled => write!(f, "cancelled by run budget"),
         }
     }

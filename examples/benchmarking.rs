@@ -23,7 +23,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         datasets: vec![DatasetId::Nab, DatasetId::Yahoo],
         data: DatasetConfig { seed: 42, signal_scale: scale, length_scale: 0.12 },
         metric: MetricKind::Overlap,
-        rank: "f1",
         ..BenchmarkConfig::default()
     };
     println!(

@@ -13,7 +13,7 @@ cargo build --release
 # `cargo test -q` is the whole workspace. The gate also fails if the
 # number of passing tests drops below this floor: a suite must never
 # shrink quietly.
-TEST_FLOOR=784
+TEST_FLOOR=803
 
 # Run `cargo test -q` with the given environment, echo its output and
 # fail unless at least TEST_FLOOR tests passed.
@@ -87,11 +87,12 @@ cargo bench -q -p sintel-bench --no-run
 # the long-running serving tier, the human-in-the-loop layer that writes
 # expert annotations, the observability substrate every one of them
 # calls into, sintel-common's cancel tokens and fan-out substrate, the
-# nn training kernels every deep pipeline runs, and the primitives,
-# stats models and linalg kernels every serve pass runs through (test
-# code is exempt — clippy only lints lib/bin targets here).
-echo "==> cargo clippy (deny unwrap_used in sintel-pipeline, sintel, sintel-store, sintel-serve, sintel-hil, sintel-obs, sintel-analyze, sintel-common, sintel-nn, sintel-primitives, sintel-stats, sintel-linalg)"
-cargo clippy -p sintel-pipeline -p sintel -p sintel-store -p sintel-serve -p sintel-hil -p sintel-obs -p sintel-analyze -p sintel-common -p sintel-nn -p sintel-primitives -p sintel-stats -p sintel-linalg -- -D clippy::unwrap_used
+# nn training kernels every deep pipeline runs, the primitives, stats
+# models and linalg kernels every serve pass runs through, and the
+# time-series substrate and dataset loaders that decode untrusted CSV
+# (test code is exempt — clippy only lints lib/bin targets here).
+echo "==> cargo clippy (deny unwrap_used in sintel-pipeline, sintel, sintel-store, sintel-serve, sintel-hil, sintel-obs, sintel-analyze, sintel-common, sintel-nn, sintel-primitives, sintel-stats, sintel-linalg, sintel-timeseries, sintel-datasets)"
+cargo clippy -p sintel-pipeline -p sintel -p sintel-store -p sintel-serve -p sintel-hil -p sintel-obs -p sintel-analyze -p sintel-common -p sintel-nn -p sintel-primitives -p sintel-stats -p sintel-linalg -p sintel-timeseries -p sintel-datasets -- -D clippy::unwrap_used
 
 # Library crates must route diagnostics through sintel-obs, never print
 # directly. Lib targets only: binaries (CLI, bench tables) legitimately
@@ -122,11 +123,12 @@ cargo clippy -q -p sintel-nn --lib
 cargo clippy -q -p sintel-metrics --lib
 
 # The store, the serving tier, the observability substrate, the
-# pipeline executor and its watchdog, the framework core and the shared
-# substrate are clippy-clean on every target, tests included; keep them so.
-echo "==> cargo clippy (store, serve, obs, pipeline, core, common: all targets, warnings denied)"
+# pipeline executor and its watchdog, the framework core, the shared
+# substrate, the time-series substrate and the dataset loaders are
+# clippy-clean on every target, tests included; keep them so.
+echo "==> cargo clippy (store, serve, obs, pipeline, core, common, timeseries, datasets: all targets, warnings denied)"
 cargo clippy -q -p sintel-store -p sintel-serve -p sintel-obs -p sintel-pipeline -p sintel \
-    -p sintel-common --all-targets -- -D warnings
+    -p sintel-common -p sintel-timeseries -p sintel-datasets --all-targets -- -D warnings
 
 # The API docs must build without a warning: no broken, ambiguous or
 # private intra-doc links.

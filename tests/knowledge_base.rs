@@ -131,7 +131,6 @@ fn benchmark_results_are_persisted_experiments() {
         datasets: vec![DatasetId::Yahoo],
         data: DatasetConfig { seed: 1, signal_scale: 0.01, length_scale: 0.1 },
         metric: MetricKind::Overlap,
-        rank: "f1",
         ..BenchmarkConfig::default()
     };
     let rows = benchmark(&cfg).unwrap();

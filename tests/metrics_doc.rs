@@ -1,78 +1,50 @@
-//! METRICS.md, the metric catalog and the code's actually-recorded
-//! series must agree — this binary is the enforcement promised by
-//! `crates/obs/src/catalog.rs`:
+//! METRICS.md and the series the code actually records must agree, in
+//! both directions:
 //!
-//! * every catalog entry appears in METRICS.md with the right kind and
-//!   label keys, and METRICS.md lists nothing the catalog doesn't;
 //! * every `"sintel_*"` string literal in non-test workspace source
 //!   (the names handed to `counter_add`/`gauge_set`/`observe` or
-//!   rendered from the serve tick window) resolves to a catalog entry,
-//!   so no crate can record an undocumented series.
+//!   rendered from the serve tick window) has a METRICS.md row, so no
+//!   crate can record an undocumented series;
+//! * every METRICS.md row names a series that some non-test source
+//!   records, so a row cannot outlive its series.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-
-use sintel_obs::{metric_def, METRICS};
 
 fn repo_root() -> PathBuf {
     // CARGO_MANIFEST_DIR of the facade crate is the workspace root.
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// METRICS.md table rows as (name, kind, labels).
-fn doc_rows() -> Vec<(String, String, String)> {
+/// The series kinds METRICS.md's "Reading the table" section defines.
+const KINDS: [&str; 5] = ["counter", "gauge", "histogram", "rollup-delta", "rollup-observe"];
+
+/// The series names METRICS.md documents, checking each row's shape.
+fn documented_series() -> BTreeSet<String> {
     let doc = std::fs::read_to_string(repo_root().join("METRICS.md"))
         .expect("METRICS.md exists at the repo root");
-    doc.lines()
-        .filter_map(|line| {
-            let rest = line.strip_prefix("| `sintel_")?;
-            let cells: Vec<&str> = rest.split('|').map(str::trim).collect();
-            assert!(
-                cells.len() >= 4,
-                "malformed METRICS.md row (want | `name` | kind | labels | semantics |): {line}"
-            );
-            let name = format!("sintel_{}", cells[0].trim_end_matches('`'));
-            Some((name, cells[1].to_string(), cells[2].to_string()))
-        })
-        .collect()
-}
-
-#[test]
-fn doc_and_catalog_agree() {
-    let rows = doc_rows();
-    assert!(!rows.is_empty(), "METRICS.md catalog table not found");
-
-    let documented: BTreeSet<&str> = rows.iter().map(|(n, _, _)| n.as_str()).collect();
-    assert_eq!(rows.len(), documented.len(), "duplicate rows in METRICS.md");
-
-    let catalogued: BTreeSet<&str> = METRICS.iter().map(|d| d.name).collect();
-    let missing: Vec<&&str> = catalogued.difference(&documented).collect();
-    assert!(missing.is_empty(), "catalogued but undocumented in METRICS.md: {missing:?}");
-    let stale: Vec<&&str> = documented.difference(&catalogued).collect();
-    assert!(stale.is_empty(), "documented in METRICS.md but not in the catalog: {stale:?}");
-
-    for (name, kind, labels) in &rows {
-        let def = metric_def(name).expect("checked above");
-        assert_eq!(
-            kind,
-            def.kind.as_str(),
-            "METRICS.md kind for {name} disagrees with the catalog"
+    let mut names = BTreeSet::new();
+    for line in doc.lines() {
+        let Some(rest) = line.strip_prefix("| `sintel_") else { continue };
+        let cells: Vec<&str> = rest.split('|').map(str::trim).collect();
+        assert!(
+            cells.len() >= 4 && KINDS.contains(&cells[1]) && !cells[2].is_empty(),
+            "malformed METRICS.md row (want | `name` | kind | labels | semantics |): {line}"
         );
-        let want_labels =
-            if def.labels.is_empty() { "—".to_string() } else { def.labels.join(", ") };
-        assert_eq!(
-            labels, &want_labels,
-            "METRICS.md labels for {name} disagree with the catalog"
-        );
+        let name = format!("sintel_{}", cells[0].trim_end_matches('`'));
+        assert!(names.insert(name), "duplicate METRICS.md row: {line}");
     }
+    assert!(!names.is_empty(), "METRICS.md table not found");
+    names
 }
 
-/// All `.rs` files under `dir`, recursively.
+/// All `.rs` files under `dir`, recursively, outside `target` and
+/// integration-test (`tests`) directories.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source dir") {
         let path = entry.expect("dir entry").path();
         if path.is_dir() {
-            if path.file_name().is_some_and(|n| n == "target") {
+            if path.file_name().is_some_and(|n| n == "target" || n == "tests") {
                 continue;
             }
             rust_files(&path, out);
@@ -99,29 +71,40 @@ fn quoted_metric_names(source: &str) -> Vec<String> {
     found
 }
 
-#[test]
-fn every_recorded_series_is_catalogued() {
+/// Every `sintel_*` series literal in non-test workspace source, with
+/// the file it is in (one entry per occurrence).
+fn recorded_series() -> Vec<(String, PathBuf)> {
     let mut files = Vec::new();
     rust_files(&repo_root().join("crates"), &mut files);
     rust_files(&repo_root().join("src"), &mut files);
     assert!(files.len() > 50, "source walk looks broken: {} files", files.len());
-
-    let mut unregistered: Vec<String> = Vec::new();
-    for path in &files {
-        // The catalog defines the names; it is the reference itself.
-        if path.ends_with("obs/src/catalog.rs") {
-            continue;
-        }
-        let source = std::fs::read_to_string(path).expect("readable source file");
+    let mut found = Vec::new();
+    for path in files {
+        let source = std::fs::read_to_string(&path).expect("readable source file");
         for name in quoted_metric_names(&source) {
-            if metric_def(&name).is_none() {
-                unregistered.push(format!("{} in {}", name, path.display()));
-            }
+            found.push((name, path.clone()));
         }
     }
+    found
+}
+
+#[test]
+fn every_recorded_series_is_documented() {
+    let documented = documented_series();
+    let undocumented: Vec<String> = recorded_series()
+        .into_iter()
+        .filter(|(name, _)| !documented.contains(name))
+        .map(|(name, path)| format!("{name} in {}", path.display()))
+        .collect();
     assert!(
-        unregistered.is_empty(),
-        "series recorded but missing from the catalog (add them to \
-         crates/obs/src/catalog.rs and METRICS.md): {unregistered:#?}"
+        undocumented.is_empty(),
+        "series recorded but missing from METRICS.md: {undocumented:#?}"
     );
+}
+
+#[test]
+fn every_documented_series_is_recorded() {
+    let recorded: BTreeSet<String> = recorded_series().into_iter().map(|(name, _)| name).collect();
+    let stale: Vec<String> = documented_series().difference(&recorded).cloned().collect();
+    assert!(stale.is_empty(), "METRICS.md rows that no source records: {stale:?}");
 }
