@@ -8,13 +8,16 @@
 //! to deep pipelines once training + latency are combined (its rolling
 //! forecast is sequential).
 //!
+//! Memory is the process peak of the `sintel_common::alloc` meter,
+//! which this binary installs as its global allocator.
+//!
 //! Run: `SINTEL_SCALE=0.08 cargo run -p sintel-bench --release --bin fig7a_compute`
 
 use sintel::benchmark::{benchmark, BenchmarkConfig, MetricKind};
 use sintel_datasets::{DatasetConfig, DatasetId};
 
 #[global_allocator]
-static ALLOC: sintel::alloc::TrackingAllocator = sintel::alloc::TrackingAllocator;
+static METER: sintel_common::alloc::Counting = sintel_common::alloc::Counting;
 
 fn main() {
     let obs = sintel_bench::obs_session();

@@ -16,7 +16,7 @@ use sintel::benchmark::{benchmark, render_table, BenchmarkConfig, MetricKind};
 use sintel_datasets::{DatasetConfig, DatasetId};
 
 #[global_allocator]
-static ALLOC: sintel::alloc::TrackingAllocator = sintel::alloc::TrackingAllocator;
+static METER: sintel_common::alloc::Counting = sintel_common::alloc::Counting;
 
 fn main() {
     let obs = sintel_bench::obs_session();

@@ -227,9 +227,117 @@ pub mod gens {
     }
 }
 
+/// One edit to a byte string, for fuzzing a parser of untrusted bytes.
+/// A position past the end is clamped to the last byte (to the end,
+/// for an insert).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Edit {
+    /// XOR a nonzero mask into the byte at a position.
+    Flip(usize, u8),
+    /// Overwrite the byte at a position.
+    Set(usize, u8),
+    /// Insert a byte before a position.
+    Insert(usize, u8),
+    /// Remove the byte at a position.
+    Remove(usize),
+}
+
+/// One to three edits at positions below `len`. `Set` and `Insert`
+/// draw their byte from `alphabet`: the bytes significant to the
+/// format, so damaged input stays near-valid rather than failing at its
+/// first byte.
+pub fn random_edits(rng: &mut SintelRng, len: usize, alphabet: &[u8]) -> Vec<Edit> {
+    (0..rng.int_range(1, 4))
+        .map(|_| {
+            let at = rng.index(len.max(1));
+            let byte = *rng.choice(alphabet);
+            match rng.index(4) {
+                0 => Edit::Flip(at, rng.int_range(1, 256) as u8),
+                1 => Edit::Set(at, byte),
+                2 => Edit::Insert(at, byte),
+                _ => Edit::Remove(at),
+            }
+        })
+        .collect()
+}
+
+/// `bytes` with `edits` applied in order, and the lowest position an
+/// edit touched (`bytes.len()` when there is none).
+pub fn apply_edits(bytes: &[u8], edits: &[Edit]) -> (Vec<u8>, usize) {
+    let mut out = bytes.to_vec();
+    let mut first = out.len();
+    for edit in edits {
+        let last = out.len().saturating_sub(1);
+        let at = match *edit {
+            Edit::Flip(at, mask) => {
+                if let Some(b) = out.get_mut(at.min(last)) {
+                    *b ^= mask;
+                }
+                at.min(last)
+            }
+            Edit::Set(at, byte) => {
+                if let Some(b) = out.get_mut(at.min(last)) {
+                    *b = byte;
+                }
+                at.min(last)
+            }
+            Edit::Insert(at, byte) => {
+                let at = at.min(out.len());
+                out.insert(at, byte);
+                at
+            }
+            Edit::Remove(at) => {
+                if at < out.len() {
+                    out.remove(at);
+                }
+                at.min(last)
+            }
+        };
+        first = first.min(at);
+    }
+    (out, first)
+}
+
+/// A valid input and a few edits to it.
+#[derive(Debug, Clone)]
+pub struct MutationCase {
+    /// The valid input.
+    pub text: Vec<u8>,
+    /// The edits, applied in order.
+    pub edits: Vec<Edit>,
+}
+
+impl MutationCase {
+    /// `text` with [`random_edits`] drawn from `alphabet`.
+    pub fn random(rng: &mut SintelRng, text: Vec<u8>, alphabet: &[u8]) -> Self {
+        let edits = random_edits(rng, text.len(), alphabet);
+        MutationCase { text, edits }
+    }
+
+    /// The edited bytes and the lowest position an edit touched.
+    pub fn apply(&self) -> (Vec<u8>, usize) {
+        apply_edits(&self.text, &self.edits)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn edits_apply_in_order_and_report_the_first_position() {
+        let edits = [Edit::Remove(9), Edit::Flip(1, 0x20), Edit::Insert(9, b'!')];
+        assert_eq!(apply_edits(b"abc", &edits), (b"aBc!".to_vec(), 1));
+        assert_eq!(apply_edits(b"abc", &[Edit::Set(0, b'x')]), (b"xbc".to_vec(), 0));
+        assert_eq!(apply_edits(b"", &[Edit::Remove(0), Edit::Flip(0, 1)]), (Vec::new(), 0));
+        let mut rng = SintelRng::seed_from_u64(5);
+        for _ in 0..64 {
+            let case = MutationCase::random(&mut rng, b"0,1\n".to_vec(), b",\n");
+            assert!((1..=3).contains(&case.edits.len()), "{case:?}");
+            let (bytes, first) = case.apply();
+            assert_eq!(bytes[..first], case.text[..first], "{case:?}");
+        }
+    }
 
     #[test]
     fn passing_property_runs_all_cases() {

@@ -15,6 +15,7 @@
 
 use std::time::Duration;
 
+use sintel_common::alloc;
 use sintel_datasets::{DatasetConfig, DatasetId};
 use sintel_metrics::Scores;
 use sintel_obs::FieldValue;
@@ -25,7 +26,7 @@ use sintel_timeseries::Interval;
 
 use crate::policy::{run_with_policy, Failure, FailureBreakdown, FailureKind, RunPolicy};
 use crate::sintel::score;
-use crate::{alloc, Result};
+use crate::Result;
 
 /// Which evaluation metric scores the detections (§2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,8 +93,9 @@ pub struct BenchmarkRow {
     pub train_time: Duration,
     /// Total detection (latency) time over all signals.
     pub detect_time: Duration,
-    /// Peak heap bytes observed during this row's runs (0 when the
-    /// tracking allocator is not installed).
+    /// Peak heap bytes of the process during the whole sweep, the same
+    /// for every row of one call (0 when the binary does not install
+    /// the `sintel_common::alloc` meter).
     pub peak_memory: usize,
     /// Sum of per-primitive self time (standalone baseline, Fig 7b).
     pub primitive_time: Duration,

@@ -20,12 +20,9 @@
 //! * [`api`] — a RESTful-style request/response layer over the
 //!   knowledge base, standing in for the `sintel-api` web service;
 //! * [`features`] — the Table 1 capability matrix;
-//! * [`alloc`] — the byte-exact allocation tracker the benchmark
-//!   binaries install to measure peak memory;
 //! * [`forecast`] — the forecasting sister task (paper §7), reusing the
 //!   ARIMA / Holt–Winters substrates behind the same fit-then-act API.
 
-pub mod alloc;
 pub mod api;
 pub mod benchmark;
 pub mod features;

@@ -11,57 +11,15 @@
 //!
 //! Every suite replays from `SINTEL_CHECK_SEED`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use sintel_common::check::{forall, gens, shrinks, Config, PropResult};
+use sintel_common::alloc;
+use sintel_common::check::{forall, gens, shrinks, Config, MutationCase, PropResult};
 use sintel_common::SintelRng;
 use sintel_obs::{export_jsonl, parse_jsonl, EventKind, FieldValue, TraceEvent};
 
-/// Global allocator that counts the bytes requested on the current
-/// thread (`alloc`, `alloc_zeroed` and the new size of a `realloc`).
-struct CountingAlloc;
-
-thread_local! {
-    // `const` init: creating the counter must not allocate.
-    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump(bytes: usize) {
-    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
-
-/// Bytes allocated on this thread while running `f`.
-fn alloc_bytes<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOC_BYTES.with(Cell::get);
-    let out = f();
-    (ALLOC_BYTES.with(Cell::get) - before, out)
-}
+static METER: alloc::Counting = alloc::Counting;
 
 // ---- generators ---------------------------------------------------------
 
@@ -99,86 +57,21 @@ fn random_trace(rng: &mut SintelRng) -> Vec<TraceEvent> {
         .collect()
 }
 
-/// A valid trace's text and one edit to its bytes.
-#[derive(Debug, Clone)]
-struct MutationCase {
-    text: String,
-    edits: Vec<Edit>,
-}
-
-#[derive(Debug, Clone)]
-enum Edit {
-    /// XOR a nonzero mask into the byte at a position.
-    Flip(usize, u8),
-    /// Overwrite the byte at a position.
-    Set(usize, u8),
-    /// Insert a byte before a position.
-    Insert(usize, u8),
-    /// Remove the byte at a position.
-    Remove(usize),
-}
-
 /// JSON- and JSONL-significant bytes, so damaged lines stay near-valid
 /// JSON rather than failing at the first byte.
 const JSON_BYTES: &[u8] = b"[]{}\",:0-9.eE+tfn\\u \n\r\x00\xff";
 
+/// A valid trace's text and a few edits to its bytes.
 fn random_mutation(rng: &mut SintelRng) -> MutationCase {
-    let text = export_jsonl(&random_trace(rng));
-    let len = text.len();
-    let edits = (0..rng.int_range(1, 4))
-        .map(|_| {
-            let at = rng.index(len);
-            let byte = *rng.choice(JSON_BYTES);
-            match rng.index(4) {
-                0 => Edit::Flip(at, rng.int_range(1, 255) as u8),
-                1 => Edit::Set(at, byte),
-                2 => Edit::Insert(at, byte),
-                _ => Edit::Remove(at),
-            }
-        })
-        .collect();
-    MutationCase { text, edits }
+    let text = export_jsonl(&random_trace(rng)).into_bytes();
+    MutationCase::random(rng, text, JSON_BYTES)
 }
 
-impl MutationCase {
-    /// The mutated bytes (as text, with invalid UTF-8 replaced) and the
-    /// lowest byte position an edit touched.
-    fn apply(&self) -> (String, usize) {
-        let mut bytes = self.text.clone().into_bytes();
-        let mut first = bytes.len();
-        for edit in &self.edits {
-            let at = match *edit {
-                Edit::Flip(at, mask) => {
-                    let at = at.min(bytes.len().saturating_sub(1));
-                    if let Some(b) = bytes.get_mut(at) {
-                        *b ^= mask;
-                    }
-                    at
-                }
-                Edit::Set(at, byte) => {
-                    let at = at.min(bytes.len().saturating_sub(1));
-                    if let Some(b) = bytes.get_mut(at) {
-                        *b = byte;
-                    }
-                    at
-                }
-                Edit::Insert(at, byte) => {
-                    let at = at.min(bytes.len());
-                    bytes.insert(at, byte);
-                    at
-                }
-                Edit::Remove(at) => {
-                    let at = at.min(bytes.len().saturating_sub(1));
-                    if at < bytes.len() {
-                        bytes.remove(at);
-                    }
-                    at
-                }
-            };
-            first = first.min(at);
-        }
-        (String::from_utf8_lossy(&bytes).into_owned(), first)
-    }
+/// A mutation case's edited bytes as text (invalid UTF-8 replaced) and
+/// the lowest byte position an edit touched.
+fn edited_text(case: &MutationCase) -> (String, usize) {
+    let (bytes, first) = case.apply();
+    (String::from_utf8_lossy(&bytes).into_owned(), first)
 }
 
 /// The 1-based line number in an error from `parse_jsonl`.
@@ -239,9 +132,10 @@ fn mutated_traces_parse_or_fail_with_a_line_number() {
         random_mutation,
         shrinks::none,
         |case: &MutationCase| -> PropResult {
-            let (text, first) = case.apply();
-            let intact = case.text.as_bytes()[..first].iter().filter(|&&b| b == b'\n').count();
-            let original = parse_jsonl(&case.text).map_err(|e| format!("unmutated: {e}"))?;
+            let (text, first) = edited_text(case);
+            let intact = case.text[..first].iter().filter(|&&b| b == b'\n').count();
+            let original = parse_jsonl(&String::from_utf8_lossy(&case.text))
+                .map_err(|e| format!("unmutated: {e}"))?;
             match parse_jsonl(&text) {
                 Ok(parsed) => {
                     if parsed.len() < intact || parsed[..intact] != original[..intact] {
@@ -258,14 +152,6 @@ fn mutated_traces_parse_or_fail_with_a_line_number() {
     );
 }
 
-/// Allocation bound for parsing `len` bytes of trace: a small fixed
-/// slack plus a constant factor of the input. The per-byte factor
-/// covers the parsed `Doc` tree, the `TraceEvent` built from it and
-/// an error message quoting a damaged value.
-fn alloc_budget(len: usize) -> u64 {
-    1024 + 32 * len as u64
-}
-
 /// Parsing a (mutated) trace allocates in proportion to its length.
 #[test]
 fn parsing_allocates_in_proportion_to_the_input() {
@@ -275,13 +161,14 @@ fn parsing_allocates_in_proportion_to_the_input() {
         random_mutation,
         shrinks::none,
         |case: &MutationCase| -> PropResult {
-            let (text, _) = case.apply();
-            let (allocated, _) = alloc_bytes(|| parse_jsonl(&text));
-            let budget = alloc_budget(text.len());
-            if allocated > budget {
+            let (text, _) = edited_text(case);
+            let (allocated, _) = alloc::measure(|| parse_jsonl(&text));
+            let budget = alloc::budget(text.len());
+            if allocated.bytes > budget {
                 return Err(format!(
-                    "parsing {} bytes allocated {allocated} bytes (budget {budget})",
-                    text.len()
+                    "parsing {} bytes allocated {} bytes (budget {budget})",
+                    text.len(),
+                    allocated.bytes
                 ));
             }
             Ok(())
@@ -294,7 +181,7 @@ fn parsing_allocates_in_proportion_to_the_input() {
 #[test]
 fn deep_nesting_is_an_error_with_bounded_allocation() {
     let text = "{\"a\":".repeat(1_000_000);
-    let (allocated, result) = alloc_bytes(|| parse_jsonl(&text));
+    let (allocated, result) = alloc::measure(|| parse_jsonl(&text));
     assert_eq!(result.unwrap_err(), "line 1: nesting too deep");
-    assert!(allocated <= alloc_budget(text.len()), "allocated {allocated} bytes");
+    assert!(allocated.bytes <= alloc::budget(text.len()), "allocated {allocated:?}");
 }

@@ -5,64 +5,24 @@
 //! fills one presized flat matrix, and batched inference streams every
 //! window through one reused scratch. Both must perform O(1) heap
 //! allocations per call — a count that does not grow with the number of
-//! windows. A counting global allocator pins that: if someone
+//! windows. The workspace's allocation meter pins that: if someone
 //! reintroduces a per-window `Vec` clone, these tests fail with the
 //! exact allocation delta.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use sintel_common::alloc;
 use sintel_linalg::Matrix;
 use sintel_nn::LstmRegressor;
 use sintel_timeseries::{rolling_windows, Signal};
 
-/// Global allocator that counts allocation events on the current
-/// thread. Only `alloc` / `alloc_zeroed` / `realloc` count — frees are
-/// not interesting for the O(1)-allocations property, and reallocs
-/// *must* count (a growing `Vec` shows up as reallocs, not allocs).
-struct CountingAlloc;
-
-thread_local! {
-    // `const` init: creating the counter itself must not allocate, or
-    // the allocator would recurse before the TLS slot exists.
-    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// `try_with`, not `with`: allocations during thread teardown (after
-/// TLS destruction) must pass through uncounted rather than abort.
-fn bump() {
-    let _ = ALLOC_EVENTS.try_with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+static METER: alloc::Counting = alloc::Counting;
 
-/// Allocation events on this thread while running `f`.
+/// Allocation events on this thread while running `f`: `alloc`,
+/// `alloc_zeroed` and `realloc` count (a growing `Vec` shows up as
+/// reallocs); frees do not.
 fn alloc_events<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOC_EVENTS.with(Cell::get);
-    let out = f();
-    (ALLOC_EVENTS.with(Cell::get) - before, out)
+    let (allocated, out) = alloc::measure(f);
+    (allocated.events, out)
 }
 
 fn ramp_signal(n: usize) -> Signal {

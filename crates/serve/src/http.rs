@@ -321,10 +321,9 @@ fn respond(
 mod tests {
     use super::*;
     use crate::slo::{publish, shared_status, StatusSnapshot};
+    use sintel_common::alloc;
     use sintel_common::check::{self, shrinks, Config};
     use sintel_common::SintelRng;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
     use std::io::Cursor;
 
     fn get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -524,43 +523,8 @@ mod tests {
         }
     }
 
-    /// Counts the bytes each thread requests (`alloc`, `alloc_zeroed`
-    /// and the new size of a `realloc`). It is the global allocator of
-    /// this crate's whole unit-test binary.
-    struct CountingAlloc;
-
-    thread_local! {
-        // `const` init: creating the counter must not allocate.
-        static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    fn bump(bytes: usize) {
-        let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
-    }
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            bump(layout.size());
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            bump(layout.size());
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            bump(new_size);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
     #[global_allocator]
-    static COUNTER: CountingAlloc = CountingAlloc;
+    static METER: alloc::Counting = alloc::Counting;
 
     /// Parsing allocates in proportion to the bytes it reads, and it
     /// reads no more than its caps, so no request makes it allocate
@@ -574,12 +538,10 @@ mod tests {
             shrinks::none,
             |raw| {
                 let mut cursor = Cursor::new(&raw[..]);
-                let before = ALLOC_BYTES.with(Cell::get);
-                let _ = parse_request(&mut cursor);
-                let allocated = ALLOC_BYTES.with(Cell::get) - before;
-                let read = cursor.position();
-                if allocated > 1024 + 32 * read {
-                    return Err(format!("reading {read} bytes allocated {allocated}"));
+                let (allocated, _) = alloc::measure(|| parse_request(&mut cursor));
+                let read = cursor.position() as usize;
+                if allocated.bytes > alloc::budget(read) {
+                    return Err(format!("reading {read} bytes allocated {}", allocated.bytes));
                 }
                 Ok(())
             },

@@ -18,17 +18,18 @@
 
 use std::io::BufReader;
 
-use sintel_common::check::{forall, shrinks, Config, PropResult};
+use sintel_common::alloc;
+use sintel_common::check::{forall, shrinks, Config, MutationCase, PropResult};
 use sintel_common::SintelRng;
 use sintel_serve::event::decode_corpus;
 use sintel_timeseries::csvio::MAX_LINE;
 
 #[path = "../../timeseries/tests/support/csv.rs"]
 mod support;
-use support::{
-    alloc_budget, alloc_bytes, check_mutation, check_truncations, peak_live_bytes, random_edits,
-    Decoded, MutationCase,
-};
+use support::{check_mutation, check_truncations, Decoded, CSV_BYTES};
+
+#[global_allocator]
+static METER: alloc::Counting = alloc::Counting;
 
 /// An event as `(tenant, signal, timestamp, value bits)`, so NaN
 /// compares equal.
@@ -112,7 +113,7 @@ fn every_corpus_truncation_decodes_its_whole_rows_or_names_the_cut_line() {
 /// A corpus's header flag and one set of edits to its text.
 fn random_mutation(rng: &mut SintelRng) -> (bool, MutationCase) {
     let corpus = random_corpus(rng);
-    (corpus.header, random_edits(rng, corpus.text()))
+    (corpus.header, MutationCase::random(rng, corpus.text(), CSV_BYTES))
 }
 
 #[test]
@@ -138,9 +139,9 @@ fn corpus_decoding_allocates_in_proportion_to_the_input() {
         shrinks::none,
         |(_, case): &(bool, MutationCase)| -> PropResult {
             let (bytes, _) = case.apply();
-            let (allocated, _) = alloc_bytes(|| decode_corpus(&bytes[..]));
-            if allocated > alloc_budget(bytes.len()) {
-                return Err(format!("{} bytes allocated {allocated}", bytes.len()));
+            let (allocated, _) = alloc::measure(|| decode_corpus(&bytes[..]));
+            if allocated.bytes > alloc::budget(bytes.len()) {
+                return Err(format!("{} bytes allocated {}", bytes.len(), allocated.bytes));
             }
             Ok(())
         },
@@ -155,9 +156,10 @@ fn an_over_cap_corpus_line_is_an_error_that_buffers_at_most_the_cap() {
     text.resize(text.len() + MAX_LINE + 1 - "acme,".len() - ",2,0.5".len(), b'c');
     text.extend_from_slice(b",2,0.5\n");
     let reader = BufReader::new(&text[..]);
-    let (peak, result) = peak_live_bytes(|| decode_corpus(reader));
+    let (allocated, result) = alloc::measure(|| decode_corpus(reader));
     let e = result.expect_err("an over-cap line must not decode");
     assert_eq!(e.line, 2, "{e}");
     assert!(e.message.contains("longer than"), "{e}");
-    assert!(peak as usize <= MAX_LINE + 1024, "{peak} bytes live at once");
+    let peak = allocated.peak_live;
+    assert!(peak <= MAX_LINE as u64 + 1024, "{peak} bytes live at once");
 }

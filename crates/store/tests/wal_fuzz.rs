@@ -11,58 +11,16 @@
 //!
 //! Every suite replays from `SINTEL_CHECK_SEED`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use sintel_common::check::{forall, shrinks, Config, PropResult};
+use sintel_common::alloc;
+use sintel_common::check::{apply_edits, forall, random_edits, shrinks, Config, Edit, PropResult};
 use sintel_common::SintelRng;
 use sintel_store::wal::{decode_batch, encode_batch, encode_record, read_record, WalOp};
 use sintel_store::{Doc, StoreError};
 
-/// Global allocator that counts the bytes requested on the current
-/// thread (`alloc`, `alloc_zeroed` and the new size of a `realloc`).
-struct CountingAlloc;
-
-thread_local! {
-    // `const` init: creating the counter must not allocate.
-    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump(bytes: usize) {
-    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
-
-/// Bytes allocated on this thread while running `f`.
-fn alloc_bytes<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOC_BYTES.with(Cell::get);
-    let out = f();
-    (ALLOC_BYTES.with(Cell::get) - before, out)
-}
+static METER: alloc::Counting = alloc::Counting;
 
 // ---- generators ---------------------------------------------------------
 
@@ -128,6 +86,13 @@ struct Log {
     starts: Vec<usize>,
 }
 
+impl Log {
+    /// The end of record `record`'s bytes.
+    fn end(&self, record: usize) -> usize {
+        self.starts.get(record + 1).copied().unwrap_or(self.bytes.len())
+    }
+}
+
 fn random_log(rng: &mut SintelRng) -> Log {
     let mut log = Log { bytes: Vec::new(), batches: Vec::new(), starts: Vec::new() };
     for _ in 0..rng.int_range(1, 5) {
@@ -165,13 +130,13 @@ fn is_decode_error(e: &StoreError) -> bool {
 /// How a mutation case corrupts a log image.
 #[derive(Debug, Clone)]
 enum Mutation {
-    /// XOR nonzero masks into bytes anywhere in the image.
-    Bytes(Vec<(usize, u8)>),
+    /// Edit bytes anywhere in the image.
+    Bytes(Vec<Edit>),
     /// Write `len` into the length field of the record at `record`.
     Length { record: usize, len: u32 },
-    /// Corrupt the payload of record `record` and re-frame it with a
+    /// Edit the payload of record `record` and re-frame it with a
     /// matching checksum, so the damage reaches `decode_batch`.
-    Reframed { record: usize, edits: Vec<(usize, u8)> },
+    Reframed { record: usize, edits: Vec<Edit> },
 }
 
 #[derive(Debug, Clone)]
@@ -184,15 +149,11 @@ impl MutationCase {
     /// The mutated image and the start of the first record it touched.
     fn apply(&self) -> (Vec<u8>, usize) {
         let log = &self.log;
-        let record_of = |pos: usize| log.starts.iter().rposition(|&s| s <= pos).unwrap_or(0);
         match &self.mutation {
-            Mutation::Bytes(flips) => {
-                let mut bytes = log.bytes.clone();
-                for &(pos, mask) in flips {
-                    bytes[pos] ^= mask;
-                }
-                let first = flips.iter().map(|&(pos, _)| record_of(pos)).min().unwrap_or(0);
-                (bytes, log.starts[first])
+            Mutation::Bytes(edits) => {
+                let (bytes, first) = apply_edits(&log.bytes, edits);
+                let record = log.starts.iter().rposition(|&s| s <= first).unwrap_or(0);
+                (bytes, log.starts[record])
             }
             Mutation::Length { record, len } => {
                 let mut bytes = log.bytes.clone();
@@ -202,15 +163,10 @@ impl MutationCase {
             }
             Mutation::Reframed { record, edits } => {
                 let at = log.starts[*record];
-                let end = log.starts.get(record + 1).copied().unwrap_or(log.bytes.len());
-                let mut payload = log.bytes[at + 8..end].to_vec();
-                for &(pos, byte) in edits {
-                    let pos = pos % payload.len();
-                    payload[pos] = byte;
-                }
-                let text = String::from_utf8_lossy(&payload);
+                let end = log.end(*record);
+                let (payload, _) = apply_edits(&log.bytes[at + 8..end], edits);
                 let mut bytes = log.bytes[..at].to_vec();
-                bytes.extend(encode_record(&text));
+                bytes.extend(encode_record(&String::from_utf8_lossy(&payload)));
                 bytes.extend_from_slice(&log.bytes[end..]);
                 (bytes, at)
             }
@@ -218,7 +174,7 @@ impl MutationCase {
     }
 }
 
-/// JSON-significant bytes for payload edits, so corrupt payloads stay
+/// JSON-significant bytes for edits, so corrupt payloads stay
 /// near-valid JSON rather than failing at the first byte.
 const JSON_BYTES: &[u8] = b"[]{}\",:0-9.eEtrufalsnl\\ \x00\xff";
 
@@ -226,23 +182,17 @@ fn random_mutation(rng: &mut SintelRng) -> MutationCase {
     let log = random_log(rng);
     let record = rng.index(log.starts.len());
     let mutation = match rng.index(3) {
-        0 => Mutation::Bytes(
-            (0..rng.int_range(1, 4))
-                .map(|_| (rng.index(log.bytes.len()), rng.int_range(1, 255) as u8))
-                .collect(),
-        ),
+        0 => Mutation::Bytes(random_edits(rng, log.bytes.len(), JSON_BYTES)),
         1 => {
             let limit = 64 * 1024 * 1024;
             let edge = *rng.choice(&[0, 1, 7, limit, limit + 1, u32::MAX]);
             let len = if rng.chance(0.3) { rng.next_u64() as u32 } else { edge };
             Mutation::Length { record, len }
         }
-        _ => Mutation::Reframed {
-            record,
-            edits: (0..rng.int_range(1, 4))
-                .map(|_| (rng.index(1 << 16), *rng.choice(JSON_BYTES)))
-                .collect(),
-        },
+        _ => {
+            let payload = log.end(record) - log.starts[record] - 8;
+            Mutation::Reframed { record, edits: random_edits(rng, payload, JSON_BYTES) }
+        }
     };
     MutationCase { log, mutation }
 }
@@ -306,21 +256,21 @@ fn mutated_images_fail_typed_after_an_intact_prefix() {
                     return Err(format!("untyped decode failure: {e:?}"));
                 }
             }
-            if let Mutation::Bytes(flips) = &case.mutation {
-                let in_crc_or_payload = |pos: usize| {
-                    let start = case.log.starts[intact];
-                    pos >= start + 4
-                        && pos < case.log.starts.get(intact + 1).copied().unwrap_or(bytes.len())
-                };
-                if flips.len() == 1 && in_crc_or_payload(flips[0].0) {
-                    let caught = matches!(
-                        err,
-                        Some(StoreError::TornRecord { offset, cause: "checksum mismatch" })
-                            if offset == first
-                    );
-                    if !caught || batches.len() != intact {
-                        return Err(format!("single flipped byte not caught: {err:?}"));
-                    }
+            let flipped = match &case.mutation {
+                Mutation::Bytes(edits) => match edits[..] {
+                    [Edit::Flip(pos, _)] => Some(pos),
+                    _ => None,
+                },
+                _ => None,
+            };
+            if flipped.is_some_and(|pos| pos >= first + 4 && pos < case.log.end(intact)) {
+                let caught = matches!(
+                    err,
+                    Some(StoreError::TornRecord { offset, cause: "checksum mismatch" })
+                        if offset == first
+                );
+                if !caught || batches.len() != intact {
+                    return Err(format!("single flipped byte not caught: {err:?}"));
                 }
             }
             Ok(())
@@ -352,14 +302,6 @@ fn batches_round_trip_exactly() {
     );
 }
 
-/// Allocation bound for decoding an image of `len` bytes: a small
-/// fixed slack plus a constant factor of the input (the parsed `Doc`
-/// tree measures about 17 bytes per input byte). A decoder that trusted
-/// a length field (up to the 64 MiB record limit) would blow through it.
-fn alloc_budget(len: usize) -> u64 {
-    1024 + 32 * len as u64
-}
-
 /// Decoding a (mutated) image allocates in proportion to its length.
 #[test]
 fn decoding_allocates_in_proportion_to_the_input() {
@@ -370,12 +312,13 @@ fn decoding_allocates_in_proportion_to_the_input() {
         shrinks::none,
         |case: &MutationCase| -> PropResult {
             let (bytes, _) = case.apply();
-            let (allocated, _) = alloc_bytes(|| scan(&bytes));
-            let budget = alloc_budget(bytes.len());
-            if allocated > budget {
+            let (allocated, _) = alloc::measure(|| scan(&bytes));
+            let budget = alloc::budget(bytes.len());
+            if allocated.bytes > budget {
                 return Err(format!(
-                    "decoding {} bytes allocated {allocated} bytes (budget {budget})",
-                    bytes.len()
+                    "decoding {} bytes allocated {} bytes (budget {budget})",
+                    bytes.len(),
+                    allocated.bytes
                 ));
             }
             Ok(())
@@ -389,7 +332,7 @@ fn decoding_allocates_in_proportion_to_the_input() {
 fn an_oversized_length_field_allocates_nothing() {
     let mut bytes = encode_record("[]");
     bytes[..4].copy_from_slice(&(64u32 * 1024 * 1024).to_le_bytes());
-    let (allocated, read) = alloc_bytes(|| read_record(&bytes, 0).map(|(_, next)| next));
+    let (allocated, read) = alloc::measure(|| read_record(&bytes, 0).map(|(_, next)| next));
     assert!(matches!(read, Err(StoreError::TornRecord { offset: 0, .. })), "{read:?}");
-    assert_eq!(allocated, 0, "read_record allocated {allocated} bytes");
+    assert_eq!(allocated.bytes, 0, "read_record allocated {allocated:?}");
 }

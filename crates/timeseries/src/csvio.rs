@@ -187,10 +187,11 @@ pub fn write_signal_csv(signal: &Signal, path: &Path) -> Result<()> {
     write_file(path, |out| encode_signal(signal, out))
 }
 
-/// Decode a signal table: a header row (a `#` line 1 holding a `,`
-/// included), whose field count fixes the value columns, then rows of a strictly increasing integer timestamp
-/// and its values. An empty or absent value is `NaN`; extra fields are
-/// ignored.
+/// Decode a signal table. The header row (a `#` line 1 holding a `,`
+/// included) fixes the value columns by its field count. Each later
+/// row holds a strictly increasing integer timestamp and a field for
+/// every value column: an empty field is `NaN`, a row with fewer fields
+/// than the header is a [`CsvError`], and extra fields are ignored.
 pub fn decode_signal(name: &str, reader: impl BufRead) -> Result<Signal> {
     let mut rows = Rows::new(reader);
     let Some(header) = rows.header_row()? else {
@@ -210,9 +211,14 @@ pub fn decode_signal(name: &str, reader: impl BufRead) -> Result<Signal> {
         }
         timestamps.push(ts);
         for (c, channel) in channels.iter_mut().enumerate() {
-            channel.push(match fields.next().filter(|f| !f.is_empty()) {
-                None => f64::NAN,
-                Some(f) => f
+            let Some(f) = fields.next() else {
+                let message =
+                    format!("row has {} of the header's {} fields", c + 1, n_channels + 1);
+                return Err(row.error(message).into());
+            };
+            channel.push(match f {
+                "" => f64::NAN,
+                f => f
                     .parse()
                     .map_err(|e| row.error(format!("bad value in column {c} '{f}': {e}")))?,
             });
@@ -377,6 +383,7 @@ mod tests {
         assert_eq!(signal(b"t,v\n1,1\n\n1,2\n"), (4, "timestamp 1 is not after 1".into()));
         assert!(signal(b"t,v\n1,1\n# c\n2,x\n").1.starts_with("bad value in column 0 'x'"));
         assert!(signal(b"t,v\n1,\xff\n").1.starts_with("invalid UTF-8: "));
+        assert_eq!(signal(b"t,a,b\n1,,\n2,5\n"), (3, "row has 2 of the header's 3 fields".into()));
         let labels = |text: &str| match decode_labels(text.as_bytes()) {
             Err(TimeSeriesError::Csv(e)) => (e.line, e.message),
             other => panic!("expected a CsvError, got {other:?}"),

@@ -11,24 +11,26 @@
 //! * Every seeded byte mutation returns `Ok` or a `CsvError` — never a
 //!   panic or another error — and the lines before the first mutated
 //!   one still decode to their rows.
-//! * Decoding allocates in proportion to the input's length, and a
-//!   line past the reader's cap allocates no more than the cap.
+//! * Decoding allocates in proportion to the input's length, a row
+//!   shorter than the header is refused rather than padded, and a line
+//!   past the reader's cap allocates no more than the cap.
 //!
 //! Every suite replays from `SINTEL_CHECK_SEED`.
 
 use std::io::BufReader;
 
-use sintel_common::check::{forall, shrinks, Config, PropResult};
+use sintel_common::alloc;
+use sintel_common::check::{forall, shrinks, Config, MutationCase, PropResult};
 use sintel_common::SintelRng;
 use sintel_timeseries::csvio::{decode_labels, decode_signal, encode_signal, MAX_LINE};
 use sintel_timeseries::{Interval, Signal, TimeSeriesError};
 
 #[path = "support/csv.rs"]
 mod support;
-use support::{
-    alloc_budget, alloc_bytes, check_mutation, check_truncations, peak_live_bytes, random_edits,
-    Decoded, MutationCase,
-};
+use support::{check_mutation, check_truncations, Decoded, CSV_BYTES};
+
+#[global_allocator]
+static METER: alloc::Counting = alloc::Counting;
 
 // ---- generators ---------------------------------------------------------
 
@@ -141,7 +143,7 @@ fn every_signal_truncation_decodes_its_whole_rows_or_names_the_cut_line() {
 
 fn random_signal_mutation(rng: &mut SintelRng) -> MutationCase {
     let text = signal_text(&random_signal(rng));
-    random_edits(rng, text)
+    MutationCase::random(rng, text, CSV_BYTES)
 }
 
 #[test]
@@ -167,13 +169,35 @@ fn signal_decoding_allocates_in_proportion_to_the_input() {
         shrinks::none,
         |case: &MutationCase| -> PropResult {
             let (bytes, _) = case.apply();
-            let (allocated, _) = alloc_bytes(|| decode_signal("fuzz", &bytes[..]));
-            if allocated > alloc_budget(bytes.len()) {
-                return Err(format!("{} bytes allocated {allocated}", bytes.len()));
+            let (allocated, _) = alloc::measure(|| decode_signal("fuzz", &bytes[..]));
+            if allocated.bytes > alloc::budget(bytes.len()) {
+                return Err(format!("{} bytes allocated {}", bytes.len(), allocated.bytes));
             }
             Ok(())
         },
     );
+}
+
+/// A wide header over rows that hold only a timestamp is refused at
+/// its first short row, within the allocation budget. Padding the
+/// missing values with `NaN` would turn this 11 KB file into 2,000
+/// columns of 2,000 values: 32 MB.
+#[test]
+fn short_rows_are_refused_within_the_budget() {
+    let mut text = ",".repeat(2000);
+    text.extend((0..2000).map(|t| format!("\n{t}")));
+    text.push('\n');
+    assert_eq!(text.len(), 10_891);
+    let (allocated, result) = alloc::measure(|| decode_signal("short", text.as_bytes()));
+    match result {
+        Err(TimeSeriesError::Csv(e)) => {
+            assert_eq!((e.line, e.message.as_str()), (2, "row has 1 of the header's 2001 fields"));
+        }
+        Ok(s) => panic!("padded to {} rows of {} channels", s.len(), s.num_channels()),
+        Err(other) => panic!("untyped rejection: {other:?}"),
+    }
+    let budget = alloc::budget(text.len());
+    assert!(allocated.bytes <= budget, "{allocated:?} over the budget of {budget}");
 }
 
 // ---- labels -----------------------------------------------------------------
@@ -209,7 +233,7 @@ fn every_label_truncation_decodes_its_whole_rows_or_names_the_cut_line() {
 
 fn random_label_mutation(rng: &mut SintelRng) -> MutationCase {
     let text = labels_text(&random_labels(rng));
-    random_edits(rng, text)
+    MutationCase::random(rng, text, CSV_BYTES)
 }
 
 #[test]
@@ -235,9 +259,9 @@ fn label_decoding_allocates_in_proportion_to_the_input() {
         shrinks::none,
         |case: &MutationCase| -> PropResult {
             let (bytes, _) = case.apply();
-            let (allocated, _) = alloc_bytes(|| decode_labels(&bytes[..]));
-            if allocated > alloc_budget(bytes.len()) {
-                return Err(format!("{} bytes allocated {allocated}", bytes.len()));
+            let (allocated, _) = alloc::measure(|| decode_labels(&bytes[..]));
+            if allocated.bytes > alloc::budget(bytes.len()) {
+                return Err(format!("{} bytes allocated {}", bytes.len(), allocated.bytes));
             }
             Ok(())
         },
@@ -262,7 +286,7 @@ fn an_over_cap_line_is_an_error_that_buffers_at_most_the_cap() {
 
     let text = row(MAX_LINE + 1);
     let reader = BufReader::new(&text[..]);
-    let (peak, result) = peak_live_bytes(|| decode_signal("cap", reader));
+    let (allocated, result) = alloc::measure(|| decode_signal("cap", reader));
     match result {
         Err(TimeSeriesError::Csv(e)) => {
             assert_eq!(e.line, 2, "{e}");
@@ -270,5 +294,6 @@ fn an_over_cap_line_is_an_error_that_buffers_at_most_the_cap() {
         }
         other => panic!("an over-cap line decoded to {other:?}"),
     }
-    assert!(peak as usize <= MAX_LINE + 1024, "{peak} bytes live at once");
+    let peak = allocated.peak_live;
+    assert!(peak <= MAX_LINE as u64 + 1024, "{peak} bytes live at once");
 }
