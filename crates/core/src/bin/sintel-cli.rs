@@ -37,6 +37,11 @@ use sintel_store::{Durability, SintelDb, StoreOptions};
 use sintel_datasets::{load_all, DatasetConfig, DatasetId};
 use sintel_timeseries::csvio;
 
+// The benchmark's memory column reads this meter; without it a stored
+// `peak_memory_bytes` would be a measured-looking zero.
+#[global_allocator]
+static METER: sintel_common::alloc::Counting = sintel_common::alloc::Counting;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {

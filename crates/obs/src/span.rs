@@ -7,7 +7,9 @@
 //! every open and close appends a [`TraceEvent`] to the process trace
 //! buffer; [`export_jsonl`] renders the buffer one JSON object per
 //! line and [`parse_jsonl`] reads it back, so a whole benchmark run
-//! can be replayed as a flamegraph-style timeline.
+//! can be replayed as a flamegraph-style timeline. Span names are
+//! `&'static str` literals of the dotted taxonomy, so a span opened
+//! while tracing is off allocates nothing for its name.
 //!
 //! Timing: every span measures its duration with `Instant` regardless
 //! of whether tracing is active, and [`SpanGuard::close`] returns it —
@@ -234,14 +236,14 @@ pub fn export_jsonl(events: &[TraceEvent]) -> String {
 pub struct SpanGuard {
     id: u64,
     parent: Option<u64>,
-    name: String,
+    name: &'static str,
     start: Instant,
     start_ns: u64,
     closed: bool,
 }
 
 /// Open a span with no fields.
-pub fn span(name: &str) -> SpanGuard {
+pub fn span(name: &'static str) -> SpanGuard {
     span_with(name, &[])
 }
 
@@ -258,7 +260,7 @@ pub fn current_span_id() -> Option<u64> {
 
 /// Open a span with structured fields. The span nests under the
 /// innermost open span *of this thread*.
-pub fn span_with(name: &str, fields: &[(&str, FieldValue)]) -> SpanGuard {
+pub fn span_with(name: &'static str, fields: &[(&str, FieldValue)]) -> SpanGuard {
     open_span(name, fields, None)
 }
 
@@ -267,7 +269,7 @@ pub fn span_with(name: &str, fields: &[(&str, FieldValue)]) -> SpanGuard {
 /// new span is still pushed onto the *current* thread's stack, so
 /// spans opened underneath it on this thread nest correctly.
 pub fn span_with_parent(
-    name: &str,
+    name: &'static str,
     fields: &[(&str, FieldValue)],
     parent: Option<u64>,
 ) -> SpanGuard {
@@ -278,7 +280,7 @@ pub fn span_with_parent(
 /// `Some(p)` = record exactly `p` (which may itself be `None` for an
 /// explicit root).
 fn open_span(
-    name: &str,
+    name: &'static str,
     fields: &[(&str, FieldValue)],
     forced_parent: Option<Option<u64>>,
 ) -> SpanGuard {
@@ -306,7 +308,7 @@ fn open_span(
             fields,
         });
     }
-    SpanGuard { id, parent, name: name.to_string(), start, start_ns, closed: false }
+    SpanGuard { id, parent, name, start, start_ns, closed: false }
 }
 
 impl SpanGuard {
@@ -340,7 +342,7 @@ impl SpanGuard {
                 kind: EventKind::Close,
                 id: self.id,
                 parent: self.parent,
-                name: self.name.clone(),
+                name: self.name.to_string(),
                 ts_ns: self.start_ns + elapsed.as_nanos() as u64,
                 duration_ns: Some(elapsed.as_nanos() as u64),
                 fields: Vec::new(),
@@ -668,8 +670,9 @@ mod tests {
         let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
         set_trace_capacity(6);
         tracing_start();
-        for i in 0..10 {
-            span(&format!("s{i}")).close();
+        const NAMES: [&str; 10] = ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9"];
+        for name in NAMES {
+            span(name).close();
         }
         let tail = trace_tail(4);
         assert_eq!(tail.len(), 4);

@@ -85,7 +85,7 @@ pub enum PipelineError {
     ContractViolation {
         /// Name of the offending primitive.
         step: String,
-        /// Lifecycle phase (`"fit"` / `"produce"` / `"update"`).
+        /// Lifecycle phase (`"fit"` / `"produce"`).
         phase: String,
         /// Access direction (`"read"` / `"write"`).
         access: String,

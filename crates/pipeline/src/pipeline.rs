@@ -78,8 +78,8 @@ fn value_is_finite(value: &Value) -> bool {
 /// training signal (modeling primitives need their preprocessing outputs
 /// produced before they can fit, hence the interleaving). `detect(signal)`
 /// runs `produce` only and extracts the `anomalies` slot.
-/// `fit_detect_incremental(window)` interleaves `fit` with `update`
-/// instead, fitting and detecting in one run.
+/// `fit_and_detect(window)` is `fit` that also returns the `anomalies`
+/// slot of the run it has just made.
 pub struct Pipeline {
     name: String,
     steps: Vec<Box<dyn Primitive>>,
@@ -114,28 +114,20 @@ impl Pipeline {
         &self.profile
     }
 
-    /// Execute the pipeline over a signal.
+    /// Execute the pipeline over `ctx`, a context that holds the input
+    /// signal, fitting each step before it produces when `do_fit` is set.
     ///
     /// All timing is span-based (see `sintel-obs`): the whole run is one
     /// span and every primitive `fit`/`produce` is a child span, so the
     /// per-step numbers in [`PipelineProfile`] and the exported trace
     /// come from the same clock and `primitive_time() <= total_time()`
     /// holds by construction.
-    fn run(&mut self, signal: &Signal, do_fit: bool) -> Result<Context> {
-        self.run_mode(signal, do_fit, false)
-    }
-
-    fn run_mode(&mut self, signal: &Signal, do_fit: bool, incremental: bool) -> Result<Context> {
-        let mut ctx = Context::from_signal(signal.clone());
+    fn run(&mut self, mut ctx: Context, do_fit: bool) -> Result<Context> {
         if do_fit {
             self.profile = PipelineProfile::default();
         }
         let run_span = sintel_obs::span_with(
-            match (do_fit, incremental) {
-                (true, _) => "pipeline.fit",
-                (false, false) => "pipeline.produce",
-                (false, true) => "pipeline.update",
-            },
+            if do_fit { "pipeline.fit" } else { "pipeline.produce" },
             &[("pipeline", FieldValue::from(self.name.as_str()))],
         );
         for step in &mut self.steps {
@@ -173,7 +165,7 @@ impl Pipeline {
                 sintel_obs::observe_duration("sintel_primitive_fit_seconds", fit_time);
             }
             let produce_span = sintel_obs::span_with(
-                if incremental { "primitive.update" } else { "primitive.produce" },
+                "primitive.produce",
                 &[
                     ("primitive", FieldValue::from(meta_name.as_str())),
                     ("engine", FieldValue::from(engine.to_string())),
@@ -181,13 +173,7 @@ impl Pipeline {
             );
             #[cfg(feature = "sanitizer")]
             drop(ctx.sanitizer_take_reads());
-            let outputs = catch_unwind(AssertUnwindSafe(|| {
-                if incremental {
-                    step.update(&ctx)
-                } else {
-                    step.produce(&ctx)
-                }
-            }))
+            let outputs = catch_unwind(AssertUnwindSafe(|| step.produce(&ctx)))
                 .map_err(|payload| PipelineError::PrimitivePanic {
                     step: meta_name.clone(),
                     message: sintel_common::panic_message(payload.as_ref()),
@@ -198,9 +184,8 @@ impl Pipeline {
                 })?;
             #[cfg(feature = "sanitizer")]
             {
-                let phase = if incremental { "update" } else { "produce" };
-                sanitize_reads(&contract, &meta_name, phase, ctx.sanitizer_take_reads())?;
-                sanitize_writes(&contract, &meta_name, phase, &outputs)?;
+                sanitize_reads(&contract, &meta_name, "produce", ctx.sanitizer_take_reads())?;
+                sanitize_writes(&contract, &meta_name, "produce", &outputs)?;
             }
             let produce_time = produce_span.close();
             sintel_obs::observe_duration("sintel_primitive_produce_seconds", produce_time);
@@ -250,7 +235,7 @@ impl Pipeline {
     /// Train the pipeline end-to-end on a signal (Figure 4a:
     /// `sintel.fit(train_data)`).
     pub fn fit(&mut self, signal: &Signal) -> Result<()> {
-        self.run(signal, true)?;
+        self.run(Context::from_signal(signal.clone()), true)?;
         self.fitted = true;
         Ok(())
     }
@@ -262,35 +247,20 @@ impl Pipeline {
         if !self.fitted {
             return Err(PipelineError::NotFitted(self.name.clone()));
         }
-        let ctx = self.run(signal, false)?;
+        let ctx = self.run(Context::from_signal(signal.clone()), false)?;
         self.anomalies(&ctx)
     }
 
-    /// Detect anomalies through the incremental (`update`) path on an
-    /// already-fitted pipeline: every step's [`Primitive::update`] runs
-    /// instead of `produce`. The default `update` falls back to batch
-    /// `produce` over the buffered window, so for stock primitives this
-    /// is bitwise-identical to [`Pipeline::detect`] (enforced by the
-    /// streaming purity test). The serving tier refits on every pass
-    /// and goes through [`Pipeline::fit_detect_incremental`] instead.
-    pub fn detect_incremental(&mut self, signal: &Signal) -> Result<Vec<ScoredInterval>> {
-        if !self.fitted {
-            return Err(PipelineError::NotFitted(self.name.clone()));
-        }
-        let ctx = self.run_mode(signal, false, true)?;
-        self.anomalies(&ctx)
-    }
-
-    /// Fit on `window` and detect on it through the incremental path in
-    /// one executor run: each step's `fit` is followed directly by its
-    /// [`Primitive::update`], whose outputs feed the next step's `fit`.
+    /// Fit on `window` and return the anomalies of that same run: the
+    /// `anomalies` slot of the context [`Pipeline::fit`] builds anyway.
     /// This is the serving tier's per-pass entry point. It returns the
     /// same intervals as [`Pipeline::fit`] followed by
-    /// [`Pipeline::detect_incremental`] on the same window, without
-    /// running every step's `produce` a second time (a differential
-    /// oracle test pins the equality bitwise for every hub template).
-    pub fn fit_detect_incremental(&mut self, window: &Signal) -> Result<Vec<ScoredInterval>> {
-        let ctx = self.run_mode(window, true, true)?;
+    /// [`Pipeline::detect`] on the same window, without running every
+    /// step's `produce` a second time (a differential oracle test pins
+    /// the equality bitwise for every hub template). It takes the window
+    /// by value, so a pass moves its snapshot into the run.
+    pub fn fit_and_detect(&mut self, window: Signal) -> Result<Vec<ScoredInterval>> {
+        let ctx = self.run(Context::from_signal(window), true)?;
         self.fitted = true;
         self.anomalies(&ctx)
     }
@@ -323,7 +293,7 @@ impl Pipeline {
         if !self.fitted {
             return Err(PipelineError::NotFitted(self.name.clone()));
         }
-        let ctx = self.run(signal, false)?;
+        let ctx = self.run(Context::from_signal(signal.clone()), false)?;
         let errors = ctx
             .series("errors")
             .map_err(|e| PipelineError::Step { step: self.name.clone(), source: e.to_string() })?
@@ -437,27 +407,6 @@ mod tests {
         );
         // detect_total accumulated across all four produce-only runs.
         assert!(prof.detect_total > std::time::Duration::ZERO);
-    }
-
-    /// The default `update` falls back to `produce`, so the incremental
-    /// path must match batch detection bitwise for stock primitives.
-    #[test]
-    fn detect_incremental_matches_batch_bitwise() {
-        let mut pipeline = fast_template().build_default().unwrap();
-        let s = spiky_signal(400);
-        pipeline.fit(&s).unwrap();
-        let batch = pipeline.detect(&s).unwrap();
-        let incremental = pipeline.detect_incremental(&s).unwrap();
-        assert_eq!(batch.len(), incremental.len());
-        for (a, b) in batch.iter().zip(&incremental) {
-            assert_eq!(a.interval.start, b.interval.start);
-            assert_eq!(a.interval.end, b.interval.end);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
-        assert!(matches!(
-            fast_template().build_default().unwrap().detect_incremental(&s),
-            Err(PipelineError::NotFitted(_))
-        ));
     }
 
     #[test]

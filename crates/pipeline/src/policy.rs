@@ -331,7 +331,8 @@ where
 
 /// Run a fallible attempt under the full policy: each attempt through
 /// [`run_guarded`], up to `1 + max_retries` attempts with backoff in
-/// between.
+/// between. Each attempt runs its own clone of `attempt`, once, so the
+/// closure may move what it captured into the run.
 ///
 /// Returns the first success, or the *last* failure, plus the number of
 /// attempts actually made (quarantine logic counts these as strikes).
@@ -346,7 +347,7 @@ pub fn run_with_policy<T, F>(
 ) -> (std::result::Result<T, Failure>, u32)
 where
     T: Send + 'static,
-    F: Fn() -> std::result::Result<T, Failure> + Send + Clone + 'static,
+    F: FnOnce() -> std::result::Result<T, Failure> + Send + Clone + 'static,
 {
     const TARGET: &str = "sintel::policy";
     let mut last = Failure::new(FailureKind::Other, "no attempt was made");

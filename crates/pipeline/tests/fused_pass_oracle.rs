@@ -1,12 +1,12 @@
 //! Differential oracle for the serving tier's one-run pass.
 //!
-//! `Pipeline::fit_detect_incremental(w)` runs each step's `fit` and
-//! then its `update` in a single executor run. The specification is the
-//! two-run form it replaced: `fit(w)` (every step's `fit` then
-//! `produce`) followed by `detect_incremental(w)` (every step's
-//! `update` over a fresh context). For every hub and extension template
-//! the two must return bitwise-identical intervals on random windows.
-//! A failing case prints its seed and replays with `SINTEL_CHECK_SEED`.
+//! `Pipeline::fit_and_detect(w)` is one `fit` run (each step's `fit`
+//! then `produce`) that returns the `anomalies` slot it built. The
+//! specification is the two-run form: `fit(w)` followed by `detect(w)`
+//! (every step's `produce` again, over a fresh context). For every hub
+//! and extension template the two must return bitwise-identical
+//! intervals on random windows. A failing case prints its seed and
+//! replays with `SINTEL_CHECK_SEED`.
 
 use sintel_common::check::{self, Config};
 use sintel_common::SintelRng;
@@ -80,7 +80,7 @@ fn check_template(name: &str, cases: usize) -> usize {
     let lambda = cheap_lambda(&template);
     let detected = std::cell::Cell::new(0);
     check::forall(
-        &format!("{name}: fit_detect_incremental == fit + detect_incremental"),
+        &format!("{name}: fit_and_detect == fit + detect"),
         &Config::default().cases(cases),
         gen_window,
         shrink_window,
@@ -89,11 +89,11 @@ fn check_template(name: &str, cases: usize) -> usize {
                 .map_err(|e| format!("window: {e}"))?;
             let mut spec = template.build(&lambda).map_err(|e| e.to_string())?;
             spec.fit(&window).map_err(|e| format!("fit: {e}"))?;
-            let expected = spec.detect_incremental(&window).map_err(|e| format!("detect: {e}"))?;
+            let expected = spec.detect(&window).map_err(|e| format!("detect: {e}"))?;
             let mut fused = template.build(&lambda).map_err(|e| e.to_string())?;
-            let got = fused.fit_detect_incremental(&window).map_err(|e| format!("fused: {e}"))?;
+            let got = fused.fit_and_detect(window).map_err(|e| format!("fused: {e}"))?;
             if !fused.is_fitted() {
-                return Err("fit_detect_incremental left the pipeline unfitted".into());
+                return Err("fit_and_detect left the pipeline unfitted".into());
             }
             if bits(&got) != bits(&expected) {
                 return Err(format!("fused {:?} != two-run {:?}", bits(&got), bits(&expected)));

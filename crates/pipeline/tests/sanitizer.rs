@@ -95,9 +95,10 @@ fn cheap_lambda(template: &Template) -> Vec<(ParamId, HyperValue)> {
         .collect()
 }
 
-/// Every shipped hub/extension pipeline runs fit + detect + incremental
-/// detect under the sanitizer without a single contract violation: the
-/// primitives' code matches their declared contracts in all phases.
+/// Every shipped hub/extension pipeline runs fit + detect, and the
+/// serving tier's fused `fit_and_detect` pass, under the sanitizer
+/// without a single contract violation: the primitives' code matches
+/// their declared contracts in both phases, through both entry points.
 #[test]
 fn full_primitive_set_has_no_contract_drift() {
     let train = sine(400);
@@ -109,9 +110,11 @@ fn full_primitive_set_has_no_contract_drift() {
         pipeline
             .fit_detect(&train, &test)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        pipeline
-            .detect_incremental(&test)
-            .unwrap_or_else(|e| panic!("{name} (incremental): {e}"));
+        template
+            .build(&lambda)
+            .unwrap()
+            .fit_and_detect(test.clone())
+            .unwrap_or_else(|e| panic!("{name} (fused pass): {e}"));
     }
 }
 

@@ -55,7 +55,7 @@ fn healthy_attempt() -> Seen {
             ],
         };
         let mut pipeline = template.build_default().expect("builds");
-        pipeline.fit_detect_incremental(&signal()).expect("healthy pass");
+        pipeline.fit_and_detect(signal()).expect("healthy pass");
         seen
     })
     .unwrap_or_else(|failure| panic!("healthy attempt failed: {failure}"))

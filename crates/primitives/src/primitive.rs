@@ -125,7 +125,10 @@ impl PrimitiveMeta {
 /// Lifecycle: construct via the [`crate::registry`], optionally override
 /// hyperparameters, [`Primitive::fit`] on training context, then
 /// [`Primitive::produce`] on (possibly different) detection context.
-/// Stateless primitives implement only `produce`.
+/// Stateless primitives implement only `produce`. These two methods are
+/// the whole lifecycle: a streaming pass is `fit` then `produce` over
+/// its window, and a pipeline kept fitted between passes runs `produce`
+/// alone.
 pub trait Primitive: Send {
     /// Metadata (name, engine, hyperparameters…).
     fn meta(&self) -> &PrimitiveMeta;
@@ -142,25 +145,6 @@ pub trait Primitive: Send {
     /// Compute outputs from the context. Returns `(slot, value)` pairs
     /// that the executor writes back into the context.
     fn produce(&mut self, ctx: &Context) -> Result<Vec<(String, Value)>>;
-
-    /// Incremental (streaming) production over a buffered chunk.
-    ///
-    /// The serving tier feeds a sliding-window context through this
-    /// path instead of `produce`. A serve pass is one executor run
-    /// (`Pipeline::fit_detect_incremental`): each step's `fit` is
-    /// followed directly by its `update`, and no `produce` runs at all,
-    /// so `update` must emit the same outputs `produce` would. The
-    /// default implementation falls back to batch
-    /// [`Primitive::produce`] over the buffered window, so every
-    /// existing primitive works unchanged and batch `fit`/`detect`
-    /// behaviour stays bitwise-identical (enforced by the streaming
-    /// purity test and the incremental-vs-refit oracle). Primitives
-    /// with genuinely incremental algorithms (rolling aggregates,
-    /// online scalers, EWMA residuals) may override it to reuse state
-    /// across chunks.
-    fn update(&mut self, ctx: &Context) -> Result<Vec<(String, Value)>> {
-        self.produce(ctx)
-    }
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@
 //! The long-running, multi-tenant streaming serving tier (DESIGN.md
 //! §4g). Tenants stream `(tenant, signal, timestamp, value)` events in;
 //! the engine buffers them per signal in bounded sliding windows, runs
-//! anomaly detection passes through the pipeline subsystem's incremental
-//! (`update`) path, and emits seq-numbered [`event::AnomalyEvent`]s with
-//! bounded latency and memory.
+//! detection passes (one fit run over the window that returns its own
+//! anomalies, [`sintel_pipeline::Pipeline::fit_and_detect`]), and emits
+//! seq-numbered [`event::AnomalyEvent`]s with bounded latency and memory.
 //!
 //! Robustness machinery, layer by layer:
 //!

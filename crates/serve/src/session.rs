@@ -265,7 +265,7 @@ impl TenantSession {
         let chosen = if self.degraded { cfg.fallback.clone() } else { template.clone() };
         let task = move || {
             let mut pipeline = chosen.build_default()?;
-            Ok::<_, Failure>(pipeline.fit_detect_incremental(&snapshot)?)
+            Ok::<_, Failure>(pipeline.fit_and_detect(snapshot)?)
         };
         report.passes_run += 1;
         let span = sintel_obs::span_with(
