@@ -8,8 +8,10 @@
 //! to deep pipelines once training + latency are combined (its rolling
 //! forecast is sequential).
 //!
-//! Memory is the process peak of the `sintel_common::alloc` meter,
-//! which this binary installs as its global allocator.
+//! Memory is a pipeline's largest cell: the peak live heap bytes of one
+//! build, fit and detect on one signal, measured on the worker that ran
+//! it by the `sintel_common::alloc` meter, which this binary installs as
+//! its global allocator. It does not change with `SINTEL_THREADS`.
 //!
 //! Run: `SINTEL_SCALE=0.08 cargo run -p sintel-bench --release --bin fig7a_compute`
 
@@ -22,34 +24,32 @@ static METER: sintel_common::alloc::Counting = sintel_common::alloc::Counting;
 fn main() {
     let obs = sintel_bench::obs_session();
     let scale = sintel_bench::scale_from_env(0.05);
-    let pipelines: Vec<String> = sintel_pipeline::hub::available_pipelines()
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
     eprintln!("Figure 7a: compute profile at scale {scale} …");
 
-    // Run one pipeline at a time so the peak-memory counter attributes
-    // cleanly.
     println!("Figure 7a: pipeline computational performance (scale {scale})\n");
     println!(
         "{:<26} {:>14} {:>14} {:>12}   (training-time bar)",
         "pipeline", "training time", "latency", "memory"
     );
-    let mut results = Vec::new();
-    for name in &pipelines {
-        let cfg = BenchmarkConfig {
-            pipelines: vec![name.clone()],
-            datasets: vec![DatasetId::Nab, DatasetId::Nasa, DatasetId::Yahoo],
-            data: DatasetConfig { seed: 42, signal_scale: scale, length_scale: (scale * 2.5).clamp(0.12, 1.0) },
-            metric: MetricKind::Overlap,
-            ..BenchmarkConfig::default()
-        };
-        let rows = benchmark(&cfg).expect("benchmark run");
-        let train: std::time::Duration = rows.iter().map(|r| r.train_time).sum();
-        let detect: std::time::Duration = rows.iter().map(|r| r.detect_time).sum();
-        let mem = rows.iter().map(|r| r.peak_memory).max().unwrap_or(0);
-        results.push((name.clone(), train, detect, mem));
-    }
+    // Every hub pipeline (the default), in one sweep.
+    let cfg = BenchmarkConfig {
+        datasets: vec![DatasetId::Nab, DatasetId::Nasa, DatasetId::Yahoo],
+        data: DatasetConfig { seed: 42, signal_scale: scale, length_scale: (scale * 2.5).clamp(0.12, 1.0) },
+        metric: MetricKind::Overlap,
+        ..BenchmarkConfig::default()
+    };
+    let rows = benchmark(&cfg).expect("benchmark run");
+    let results: Vec<_> = cfg
+        .pipelines
+        .iter()
+        .map(|name| {
+            let mine = || rows.iter().filter(|r| &r.pipeline == name);
+            let train: std::time::Duration = mine().map(|r| r.train_time).sum();
+            let detect: std::time::Duration = mine().map(|r| r.detect_time).sum();
+            let mem = mine().map(|r| r.peak_memory).max().unwrap_or(0);
+            (name.clone(), train, detect, mem)
+        })
+        .collect();
     let max_train =
         results.iter().map(|r| r.1.as_secs_f64()).fold(0.0, f64::max);
     for (name, train, detect, mem) in &results {

@@ -8,17 +8,14 @@
 //! static METER: sintel_common::alloc::Counting = sintel_common::alloc::Counting;
 //! ```
 //!
-//! It forwards every call to [`System`] and keeps two kinds of
-//! counters:
-//!
-//! * **per thread** — bytes requested (`alloc`, `alloc_zeroed` and the
-//!   new size of a `realloc`), allocation events and the peak of the
-//!   bytes live at once, read around a closure with [`measure`]. The
-//!   allocation properties of the untrusted-bytes parsers and the
-//!   allocation-regression suite read these;
-//! * **per process** — live and peak bytes, read with
-//!   [`current_bytes`], [`peak_bytes`] and [`reset_peak`]. The
-//!   benchmark's memory column (Figure 7a, Table 3) reads these.
+//! It forwards every call to [`System`] and keeps one kind of counter,
+//! per thread: bytes requested (`alloc`, `alloc_zeroed` and the new
+//! size of a `realloc`), allocation events and the peak of the bytes
+//! live at once, read around a closure with [`measure`]. The
+//! allocation properties of the untrusted-bytes parsers, the
+//! allocation-regression suite and the benchmark's memory column
+//! (Figure 7a; each cell is measured on the worker that runs it) read
+//! these.
 //!
 //! In a binary that does not install the meter every counter stays at
 //! zero. [`budget`] is the one allocation bound the parser suites
@@ -26,7 +23,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The counting global allocator (see the module docs).
 pub struct Counting;
@@ -50,11 +46,6 @@ thread_local! {
         const { Cell::new(ThreadCounts { bytes: 0, events: 0, live: 0, peak: 0 }) };
 }
 
-// Process-wide live and peak bytes. `Relaxed`: they are statistics and
-// publish no other data.
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
 /// Count one call: `requested` bytes asked for, `freed` bytes given
 /// back; `event` for every call but a free.
 fn record(requested: usize, freed: usize, event: bool) {
@@ -68,18 +59,11 @@ fn record(requested: usize, freed: usize, event: bool) {
         c.peak = c.peak.max(c.live);
         cell.set(c);
     });
-    if requested >= freed {
-        let grown = requested - freed;
-        let now = CURRENT.fetch_add(grown, Ordering::Relaxed) + grown;
-        PEAK.fetch_max(now, Ordering::Relaxed);
-    } else {
-        CURRENT.fetch_sub(freed - requested, Ordering::Relaxed);
-    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the meter only
-// updates counters (thread-local cells and atomics, neither allocates)
-// around it and never touches the memory.
+// updates thread-local counters (which do not allocate) around it and
+// never touches the memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract,
@@ -149,23 +133,6 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (Allocated, R) {
     (allocated, out)
 }
 
-/// Live heap bytes of the whole process right now.
-pub fn current_bytes() -> usize {
-    CURRENT.load(Ordering::Relaxed)
-}
-
-/// Peak live heap bytes of the whole process since the last
-/// [`reset_peak`].
-pub fn peak_bytes() -> usize {
-    PEAK.load(Ordering::Relaxed)
-}
-
-/// Reset the process peak to the current level (call before the region
-/// of interest).
-pub fn reset_peak() {
-    PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
 /// The allocation bound of every untrusted-bytes parser: decoding `len`
 /// input bytes may request at most 1 KiB plus 32 bytes per input byte.
 /// The slack covers fixed set-up; the factor covers a parsed tree, the
@@ -228,19 +195,6 @@ mod tests {
             assert!(inner.peak_live >= 8192, "{inner:?}");
         });
         assert!(outer.peak_live >= 8192, "{outer:?}");
-    }
-
-    #[test]
-    fn reset_peak_and_peak_bytes_track_the_process_peak() {
-        let big = 32 << 20;
-        let held = std::hint::black_box(vec![1u8; big]);
-        assert!(current_bytes() >= big);
-        reset_peak();
-        assert!(peak_bytes() >= big);
-        drop(held);
-        assert!(peak_bytes() >= big, "the peak outlives the buffer");
-        reset_peak();
-        assert!(peak_bytes() < big, "reset_peak lowers the peak to the live level");
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! A binary that does not install `sintel_common::alloc::Counting` as
-//! its global allocator reads zeros from every counter of the meter.
+//! its global allocator reads zeros from the meter.
 
-use sintel_common::alloc::{current_bytes, measure, peak_bytes, reset_peak, Allocated};
+use sintel_common::alloc::{measure, Allocated};
 
 #[test]
 fn counters_read_zero_without_the_meter() {
-    reset_peak();
     let (allocated, len) = measure(|| std::hint::black_box(vec![0u8; 1024]).len());
     assert_eq!(len, 1024);
     assert_eq!(allocated, Allocated { bytes: 0, events: 0, peak_live: 0 });
-    assert_eq!((current_bytes(), peak_bytes()), (0, 0));
 }

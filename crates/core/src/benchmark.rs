@@ -93,9 +93,13 @@ pub struct BenchmarkRow {
     pub train_time: Duration,
     /// Total detection (latency) time over all signals.
     pub detect_time: Duration,
-    /// Peak heap bytes of the process during the whole sweep, the same
-    /// for every row of one call (0 when the binary does not install
-    /// the `sintel_common::alloc` meter).
+    /// Peak live heap bytes of one cell: the largest, over the row's
+    /// scored signals, of the bytes one pipeline's build, fit and
+    /// detect held at once on the worker that ran it. The same at
+    /// every thread count while tracing is off; a traced run also
+    /// charges each cell its trace events and any trace-buffer growth
+    /// they trigger. 0 when the binary does not install the
+    /// `sintel_common::alloc` meter.
     pub peak_memory: usize,
     /// Sum of per-primitive self time (standalone baseline, Fig 7b).
     pub primitive_time: Duration,
@@ -142,6 +146,17 @@ fn preregister_metrics() {
     sintel_obs::counter_add("sintel_benchmark_trials_total", 0);
     sintel_obs::counter_add("sintel_benchmark_quarantine_skips_total", 0);
     sintel_obs::counter_add("sintel_benchmark_quarantine_added_total", 0);
+    // The histograms a pipeline run records, registered empty (`observe`
+    // skips NaN) so that no cell pays their first registry insert into
+    // its memory column.
+    for name in [
+        "sintel_primitive_fit_seconds",
+        "sintel_primitive_produce_seconds",
+        "sintel_pipeline_fit_seconds",
+        "sintel_pipeline_detect_seconds",
+    ] {
+        sintel_obs::observe(name, f64::NAN);
+    }
 }
 
 /// Export the run's health — quarantine and failure-breakdown state —
@@ -391,7 +406,6 @@ pub fn benchmark_report_with_db(
     // explicitly (span stacks are thread-local; inference would attach
     // them to whatever the worker had open). Counter increments are
     // commutative, so totals are exact regardless of interleaving.
-    alloc::reset_peak();
     let outcomes = sintel_common::par_try_map(cells.len(), |i| {
         // In range: `i` comes from `0..cells.len()`.
         #[allow(clippy::indexing_slicing)]
@@ -402,7 +416,10 @@ pub fn benchmark_report_with_db(
         let row_span_id = cell.row_span_id;
         // The attempt (and therefore its `benchmark.trial` span and the
         // pipeline spans nested inside it) runs on the watchdog thread —
-        // one trial span per attempt.
+        // one trial span per attempt. The meter measures the attempt
+        // there: build, fit and detect on one signal. The trial span
+        // opens outside the measured region, so a fresh worker's first
+        // span-stack push is not charged to its cell.
         let attempt = move || {
             let _trial = sintel_obs::span_with_parent(
                 "benchmark.trial",
@@ -412,19 +429,20 @@ pub fn benchmark_report_with_db(
                 ],
                 Some(row_span_id),
             );
-            let mut pipeline = task_template.build_default()?;
-            let anomalies = pipeline.fit_detect(&task_signal, &task_signal)?;
-            let profile = pipeline.profile().clone();
-            Ok::<_, Failure>((anomalies, profile))
+            let (allocated, run) = alloc::measure(|| {
+                let mut pipeline = task_template.build_default()?;
+                let anomalies = pipeline.fit_detect(&task_signal, &task_signal)?;
+                Ok::<_, Failure>((anomalies, pipeline.profile().clone()))
+            });
+            run.map(|(anomalies, profile)| (anomalies, profile, allocated.peak_live as usize))
         };
         let (result, attempts) = run_with_policy(&cfg.policy, attempt);
-        let scored = result.map(|(anomalies, prof)| {
+        let scored = result.map(|(anomalies, prof, peak)| {
             let pred: Vec<Interval> = anomalies.iter().map(|a| a.interval).collect();
-            (score(&cell.labeled.anomalies, &pred, cfg.metric), prof)
+            (score(&cell.labeled.anomalies, &pred, cfg.metric), prof, peak)
         });
         (scored, attempts)
     });
-    let peak_memory = alloc::peak_bytes();
     // Each outcome is consumed exactly once by its planned cell below.
     let mut outcomes: Vec<Option<_>> = outcomes.into_iter().map(Some).collect();
 
@@ -449,6 +467,7 @@ pub fn benchmark_report_with_db(
         let mut train_time = Duration::ZERO;
         let mut detect_time = Duration::ZERO;
         let mut primitive_time = Duration::ZERO;
+        let mut peak_memory = 0usize;
 
         // Plans were built in `iter_signals` order; zip restores the pairing.
         for (plan, labeled) in row_plan.signals.iter().zip(dataset.iter_signals()) {
@@ -487,11 +506,12 @@ pub fn benchmark_report_with_db(
                 ),
             };
             match result {
-                Ok((scores, prof)) => {
+                Ok((scores, prof, peak)) => {
                     per_signal.push(scores);
                     train_time += prof.fit_total;
                     detect_time += prof.detect_total;
                     primitive_time += prof.primitive_time();
+                    peak_memory = peak_memory.max(peak);
                 }
                 Err(failure) => {
                     failures.record(failure.kind);
@@ -556,9 +576,6 @@ pub fn benchmark_report_with_db(
             quarantined,
             train_time,
             detect_time,
-            // Run-wide heap peak: per-row attribution is meaningless
-            // once rows execute concurrently, and a run-wide number is
-            // the same at every thread count's fold.
             peak_memory,
             primitive_time,
         });

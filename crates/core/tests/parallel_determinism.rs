@@ -23,6 +23,9 @@ use sintel_primitives::HyperValue;
 use sintel_store::SintelDb;
 use sintel_timeseries::{Interval, Signal};
 
+#[global_allocator]
+static METER: sintel_common::alloc::Counting = sintel_common::alloc::Counting;
+
 /// Serializes tests: the thread budget override is process-global.
 static GUARD: Mutex<()> = Mutex::new(());
 
@@ -58,11 +61,11 @@ fn sweep_at(threads: usize, dir: &PathBuf) -> (String, Vec<(String, String)>) {
     (render_table(&report.rows), store_files(dir))
 }
 
-/// Wall-clock timings, memory peaks and metric histogram bodies are
-/// genuinely scheduling-dependent; everything else in the store must be
-/// byte-identical. Scrub exactly those fields, preserving structure.
-const VOLATILE_FIELDS: [&str; 5] =
-    ["train_seconds", "detect_seconds", "peak_memory_bytes", "prometheus", "json"];
+/// Wall-clock timings and metric histogram bodies are genuinely
+/// scheduling-dependent; everything else in the store, the measured
+/// memory column included, must be byte-identical. Scrub exactly those
+/// fields, preserving structure.
+const VOLATILE_FIELDS: [&str; 4] = ["train_seconds", "detect_seconds", "prometheus", "json"];
 
 fn scrub_line(line: &str) -> String {
     let doc = sintel_common::json::from_json(line).expect("store line parses");
@@ -105,11 +108,21 @@ fn benchmark_is_bitwise_identical_at_every_thread_count() {
 
     let (baseline_table, baseline_store) = sweep_at(THREAD_COUNTS[0], &dir);
     assert!(baseline_table.contains("arima"), "sweep produced no arima row");
-    assert!(
-        baseline_store.iter().any(|(name, _)| name == "benchmark_results.jsonl"),
-        "store must contain persisted benchmark results: {:?}",
-        baseline_store.iter().map(|(n, _)| n).collect::<Vec<_>>()
-    );
+    let results = baseline_store
+        .iter()
+        .find(|(name, _)| name == "benchmark_results.jsonl")
+        .map(|(_, body)| body)
+        .unwrap_or_else(|| {
+            panic!(
+                "store must contain persisted benchmark results: {:?}",
+                baseline_store.iter().map(|(n, _)| n).collect::<Vec<_>>()
+            )
+        });
+    for line in results.lines() {
+        let doc = sintel_common::json::from_json(line).expect("result line parses");
+        let peak = doc.get("peak_memory_bytes").and_then(|p| p.as_i64());
+        assert!(peak.is_some_and(|p| p > 0), "no measured memory column in {line}");
+    }
 
     for &threads in &THREAD_COUNTS[1..] {
         let (table, store) = sweep_at(threads, &dir);

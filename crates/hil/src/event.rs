@@ -97,13 +97,15 @@ impl AnnotationAction {
 }
 
 /// Apply an annotation action to an event, persisting both the action
-/// and the resulting state into the knowledge base.
+/// and the resulting state into the knowledge base as one WAL record:
+/// a crash persists both or neither.
 pub fn apply_action(
     db: &SintelDb,
     event: &mut Event,
     user_id: u64,
     action: &AnnotationAction,
 ) -> Result<()> {
+    let scope = db.batch();
     match action {
         AnnotationAction::Confirm => {
             event.status = EventStatus::Confirmed;
@@ -137,7 +139,7 @@ pub fn apply_action(
         AnnotationAction::Tag(tag) => db.add_annotation(event.id, user_id, action.name(), tag)?,
         other => db.add_annotation(event.id, user_id, other.name(), "")?,
     };
-    Ok(())
+    Ok(scope.commit()?)
 }
 
 /// Persist a freshly detected event and return the in-memory view.
@@ -210,6 +212,26 @@ mod tests {
         apply_action(&db, &mut event, user, &AnnotationAction::Tag("eclipse".into())).unwrap();
         let annotations = db.annotations_for_event(event.id);
         assert!(annotations.iter().any(|a| a.get("tag").unwrap().as_str() == Some("eclipse")));
+    }
+
+    #[test]
+    fn an_action_is_one_wal_record() {
+        let dir = std::env::temp_dir().join(format!("sintel-hil-batch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = SintelDb::open(&dir).unwrap();
+        let user = db.add_user("ada", "engineer").unwrap();
+        let mut event =
+            persist_detected(&db, 1, "S-1", Interval::new(10, 20).unwrap(), 0.5).unwrap();
+        db.save().unwrap();
+        apply_action(&db, &mut event, user, &AnnotationAction::Confirm).unwrap();
+        drop(db);
+        let db = SintelDb::open(&dir).unwrap();
+        assert_eq!(db.recovery().wal_replayed_batches, 1, "status and annotation commit together");
+        let doc = db.events_for_signal("S-1").pop().unwrap();
+        assert_eq!(doc.get("status").unwrap().as_str(), Some("confirmed"));
+        assert_eq!(db.annotations_for_event(event.id).len(), 1);
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

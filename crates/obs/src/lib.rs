@@ -43,8 +43,8 @@ pub use crate::metrics::{
     MetricsSnapshot, Registry,
 };
 pub use crate::span::{
-    current_span_id, export_jsonl, flush_trace, parse_jsonl, set_trace_capacity,
-    set_trace_sink, span, span_with, span_with_parent, trace_tail,
+    current_span_id, export_jsonl, flush_trace, parse_jsonl, set_trace_sink, span,
+    span_with, span_with_parent, trace_tail,
     tracing_active, tracing_start, tracing_stop,
     EventKind, SpanGuard, TraceEvent, TraceFlushGuard,
 };

@@ -19,7 +19,7 @@
 use std::cell::RefCell;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -37,10 +37,6 @@ fn anchor() -> Instant {
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 static TRACING: AtomicBool = AtomicBool::new(false);
 
-/// Max buffered trace events before the oldest are dropped (0 =
-/// unbounded, the historical default for short batch runs).
-static TRACE_CAP: AtomicUsize = AtomicUsize::new(0);
-
 fn trace_buffer() -> &'static Mutex<Vec<TraceEvent>> {
     static BUF: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
     BUF.get_or_init(|| Mutex::new(Vec::new()))
@@ -53,25 +49,6 @@ fn buffer_lock() -> MutexGuard<'static, Vec<TraceEvent>> {
 fn trace_sink() -> &'static Mutex<Option<PathBuf>> {
     static SINK: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
     SINK.get_or_init(|| Mutex::new(None))
-}
-
-/// Append one event to the buffer, honouring the capacity cap
-/// (oldest-first eviction keeps the tail an operator asks for).
-fn push_event(event: TraceEvent) {
-    let cap = TRACE_CAP.load(Ordering::Relaxed);
-    let mut buf = buffer_lock();
-    if cap > 0 && buf.len() >= cap {
-        let drop_n = buf.len() + 1 - cap;
-        buf.drain(..drop_n);
-    }
-    buf.push(event);
-}
-
-/// Cap the in-memory trace buffer at `cap` events (0 = unbounded).
-/// Long-running servers set a cap so `/trace` keeps a bounded recent
-/// tail instead of growing without limit.
-pub fn set_trace_capacity(cap: usize) {
-    TRACE_CAP.store(cap, Ordering::SeqCst);
 }
 
 /// Route [`flush_trace`] output to `path` (append mode), or disable
@@ -298,7 +275,7 @@ fn open_span(
             fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
         fields.sort_by(|a, b| a.0.cmp(&b.0));
         fields.dedup_by(|later, earlier| later.0 == earlier.0);
-        push_event(TraceEvent {
+        buffer_lock().push(TraceEvent {
             kind: EventKind::Open,
             id,
             parent,
@@ -338,7 +315,7 @@ impl SpanGuard {
             }
         });
         if tracing_active() {
-            push_event(TraceEvent {
+            buffer_lock().push(TraceEvent {
                 kind: EventKind::Close,
                 id: self.id,
                 parent: self.parent,
@@ -666,9 +643,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_tail_and_capacity_keep_the_recent_end() {
+    fn trace_tail_keeps_the_recent_end() {
         let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        set_trace_capacity(6);
         tracing_start();
         const NAMES: [&str; 10] = ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9"];
         for name in NAMES {
@@ -679,11 +655,8 @@ mod tests {
         // Each span contributes open+close; the newest close is last.
         assert_eq!(tail[3].kind, EventKind::Close);
         assert_eq!(tail[3].name, "s9");
-        assert!(buffer_lock().len() <= 6, "cap must bound the buffer");
         // Tail does not drain: the buffer still holds the same events.
         assert_eq!(trace_tail(4), tail);
-        assert!(trace_tail(100).len() <= 6);
-        set_trace_capacity(0);
         tracing_stop();
     }
 

@@ -132,11 +132,13 @@ cargo clippy -q -p sintel-metrics --lib
 
 # The store, the serving tier, the observability substrate, the
 # pipeline executor and its watchdog, the framework core, the shared
-# substrate, the time-series substrate and the dataset loaders are
+# substrate, the time-series substrate, the dataset loaders, the
+# human-in-the-loop layer and the paper's bench binaries are
 # clippy-clean on every target, tests included; keep them so.
-echo "==> cargo clippy (store, serve, obs, pipeline, core, common, timeseries, datasets: all targets, warnings denied)"
+echo "==> cargo clippy (store, serve, obs, pipeline, core, common, timeseries, datasets, hil, bench: all targets, warnings denied)"
 cargo clippy -q -p sintel-store -p sintel-serve -p sintel-obs -p sintel-pipeline -p sintel \
-    -p sintel-common -p sintel-timeseries -p sintel-datasets --all-targets -- -D warnings
+    -p sintel-common -p sintel-timeseries -p sintel-datasets -p sintel-hil -p sintel-bench \
+    --all-targets -- -D warnings
 
 # The API docs must build without a warning: no broken, ambiguous or
 # private intra-doc links.
